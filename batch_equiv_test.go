@@ -43,10 +43,11 @@ type noBatch struct{ llbpx.Predictor }
 // TestRunBatchMatchesPerBranch drives two identical predictors over the
 // same stream — one per-branch, one through core.RunBatch in deliberately
 // awkward chunk sizes — and requires identical predictions and identical
-// internal counters, for both the concrete and the fallback dispatch.
+// internal counters, for both the concrete and the fallback dispatch, for
+// every registry predictor.
 func TestRunBatchMatchesPerBranch(t *testing.T) {
 	chunks := []int{1, 3, 64, 511, 513, 7}
-	for _, predName := range []string{"tsl-64k", "llbp", "llbp-x"} {
+	for _, predName := range builtinPredictors {
 		for _, fallback := range []bool{false, true} {
 			name := predName
 			if fallback {

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"llbpx"
+	"llbpx/internal/core"
 )
 
 // benchScale is the reduced effort benchmarks run at.
@@ -281,6 +282,41 @@ func BenchmarkHotPath(b *testing.B) {
 				recordHotPathCell(b, predName, wlName)
 			})
 		}
+	}
+}
+
+// BenchmarkRunBatch measures the batched path sim.Run and llbpd drive:
+// core.RunBatch over 1024-branch batches of a ~100k-instruction nodeapp
+// window, replayed after a ~400k-instruction warm-up. One op is one batch;
+// ns/branch is the per-branch cost, and allocs/op must stay 0.
+func BenchmarkRunBatch(b *testing.B) {
+	const batchLen = 1024
+	for _, predName := range []string{"tsl-8k", "tsl-64k", "llbp-x"} {
+		b.Run(predName, func(b *testing.B) {
+			warm, window := hotPathStream(b, "nodeapp", 400_000, 100_000)
+			p, err := llbpx.NewPredictorByName(predName)
+			if err != nil {
+				b.Fatal(err)
+			}
+			preds := make([]llbpx.Prediction, batchLen)
+			batches := len(window) / batchLen
+			run := func(k int) {
+				off := (k % batches) * batchLen
+				core.RunBatch(p, window[off:off+batchLen], preds)
+			}
+			for off := 0; off+batchLen <= len(warm); off += batchLen {
+				core.RunBatch(p, warm[off:off+batchLen], preds)
+			}
+			for k := 0; k < batches; k++ {
+				run(k)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run(i)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batchLen), "ns/branch")
+		})
 	}
 }
 

@@ -23,6 +23,11 @@ import (
 
 const fingerprintPath = "testdata/fingerprints.json"
 
+// builtinPredictors is the registry as the program ships it, captured
+// before any test registers a predictor of its own, so the golden suites
+// see the same names however often and in whatever order tests run.
+var builtinPredictors = llbpx.PredictorNames()
+
 // fingerprint is one (predictor, workload) cell of the golden matrix.
 type fingerprint struct {
 	// Hash is the 64-bit FNV-1a over the direction stream (one byte per
@@ -106,9 +111,9 @@ func TestGoldenFingerprints(t *testing.T) {
 		key string
 		fp  fingerprint
 	}
-	results := make(chan cell, len(llbpx.PredictorNames())*len(llbpx.WorkloadNames()))
+	results := make(chan cell, len(builtinPredictors)*len(llbpx.WorkloadNames()))
 	cells := 0
-	for _, predName := range llbpx.PredictorNames() {
+	for _, predName := range builtinPredictors {
 		for _, wlName := range llbpx.WorkloadNames() {
 			if testing.Short() && !recording &&
 				!(fpShortPredictors[predName] && fpShortWorkloads[wlName]) {

@@ -108,7 +108,7 @@ func New(cfg Config) (*Predictor, error) {
 		cfg:    cfg,
 		dirCfg: cfg.dirConfig(),
 		tsl:    tsl,
-		bank:   tage.NewTagBank(cfg.TagBits),
+		bank:   tsl.AttachTagBank(cfg.TagBits),
 		active: append([]int(nil), cfg.HistIndices...),
 	}
 	if err := p.dirCfg.Validate(); err != nil {
@@ -329,7 +329,6 @@ func (p *Predictor) Update(b core.Branch, pred core.Prediction) {
 	scInput := d.TageTaken
 	scApplied := !d.LoopValid && !c.provided
 	p.tsl.CommitDetail(b, d, scInput, scApplied)
-	p.bank.Update(p.tsl.History())
 	p.tick++
 }
 
@@ -387,7 +386,6 @@ func (p *Predictor) allocate(b core.Branch) {
 // TrackUnconditional implements core.Predictor.
 func (p *Predictor) TrackUnconditional(b core.Branch) {
 	p.tsl.TrackUnconditional(b)
-	p.bank.Update(p.tsl.History())
 	p.tick++
 }
 

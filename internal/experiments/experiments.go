@@ -130,19 +130,6 @@ func Run(id string, sc Scale) (*Result, error) {
 	return nil, fmt.Errorf("experiments: unknown experiment %q (known: %v)", id, known)
 }
 
-// RunAll executes every registered experiment in order.
-func RunAll(sc Scale) ([]*Result, error) {
-	var out []*Result
-	for _, r := range registry {
-		res, err := r.Run(sc)
-		if err != nil {
-			return out, fmt.Errorf("experiments: %s: %w", r.ID, err)
-		}
-		out = append(out, res)
-	}
-	return out, nil
-}
-
 // job is one simulation of a predictor over a workload.
 type job struct {
 	profile workload.Profile

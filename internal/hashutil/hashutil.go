@@ -25,17 +25,41 @@ func Combine(a, b uint64) uint64 {
 }
 
 // Fold reduces a 64-bit value to n bits (1 <= n <= 63) by XOR-folding all
-// 64 bits into the low n.
+// 64 bits into the low n: the result is the XOR of the n-bit chunks
+// x[0:n], x[n:2n], ... For n >= 64 it returns x unchanged.
+//
+// Fold is linear over XOR, Fold(a^b) == Fold(a)^Fold(b), and the identity
+// on values below 1<<n; hot paths use both facts to fold constants once
+// and to skip values that are already narrow.
 func Fold(x uint64, n uint) uint64 {
 	if n >= 64 {
 		return x
 	}
-	var out uint64
-	for x != 0 {
-		out ^= x & ((1 << n) - 1)
-		x >>= n
+	return FoldN(x, n, FoldSpan(64, n))
+}
+
+// FoldSpan returns the window FoldN starts from when folding a width-bit
+// value to n >= 1 bits: the least n<<s that is at least width.
+func FoldSpan(width, n uint) uint {
+	span := n
+	for span < width {
+		span <<= 1
 	}
-	return out
+	return span
+}
+
+// FoldN folds x, a value below 1<<span, to n bits (1 <= n <= 63), with
+// span = FoldSpan(width, n) precomputed by the caller. Each step XORs the
+// upper half of the window onto its lower half and halves the window, so
+// the work is a fixed number of shift/XOR pairs with no data-dependent
+// branch. The shifts stay below 64 by FoldSpan's minimality; the masks
+// only tell the compiler so.
+func FoldN(x uint64, n, span uint) uint64 {
+	for span > n {
+		span >>= 1
+		x ^= x >> (span & 63)
+	}
+	return x & (1<<(n&63) - 1)
 }
 
 // PCMix spreads the entropy of an instruction address. Branch PCs tend to

@@ -77,6 +77,58 @@ func TestFoldPreservesParityOfSetBits(t *testing.T) {
 	}
 }
 
+// refFold is the chunk-by-chunk definition of Fold: XOR every n-bit chunk
+// of x into the low n bits.
+func refFold(x uint64, n uint) uint64 {
+	var out uint64
+	for x != 0 {
+		out ^= x & (1<<n - 1)
+		x >>= n
+	}
+	return out
+}
+
+// TestFoldMatchesReference checks the halving fold, and the split form
+// of the TAGE index hash built on its XOR-linearity, against refFold for
+// every width on random inputs.
+func TestFoldMatchesReference(t *testing.T) {
+	r := NewRand(0xf01d)
+	for n := uint(1); n <= 63; n++ {
+		span := FoldSpan(64, n)
+		narrowSpan := FoldSpan(16, n)
+		for trial := 0; trial < 2000; trial++ {
+			x := r.Uint64() >> (r.Uint64() % 64)
+			want := refFold(x, n)
+			if got := Fold(x, n); got != want {
+				t.Fatalf("Fold(%#x, %d) = %#x, want %#x", x, n, got, want)
+			}
+			if got := FoldN(x, n, span); got != want {
+				t.Fatalf("FoldN(%#x, %d, %d) = %#x, want %#x", x, n, span, got, want)
+			}
+			// Index-hash split: a wide PC term, a 16-bit path term, a
+			// register already narrower than n, and a constant.
+			pcTerm, path := r.Uint64(), r.Uint64()&0xffff
+			reg, konst := r.Uint64()&(1<<n-1), r.Uint64()
+			whole := refFold(pcTerm^path^reg^konst, n)
+			split := FoldN(pcTerm, n, span) ^ FoldN(path, n, narrowSpan) ^ reg ^ Fold(konst, n)
+			if split != whole {
+				t.Fatalf("n=%d: split index fold %#x, want %#x", n, split, whole)
+			}
+		}
+	}
+}
+
+func TestFoldSpan(t *testing.T) {
+	for _, c := range []struct{ width, n, want uint }{
+		{64, 1, 64}, {64, 7, 112}, {64, 10, 80}, {64, 31, 124}, {64, 32, 64}, {64, 63, 126},
+		{16, 7, 28}, {16, 8, 16}, {16, 13, 26}, {16, 16, 16}, {16, 20, 20},
+	} {
+		if got := FoldSpan(c.width, c.n); got != c.want {
+			t.Errorf("FoldSpan(%d, %d) = %d, want %d", c.width, c.n, got, c.want)
+		}
+	}
+}
+
 func TestRandDeterministicAndSeeded(t *testing.T) {
 	a, b := NewRand(7), NewRand(7)
 	for i := 0; i < 100; i++ {

@@ -5,6 +5,8 @@
 // address bits.
 package history
 
+import "math"
+
 // Global is a circular buffer of direction bits. It comfortably holds the
 // 3000-bit histories modern TAGE-SC-L configurations use; capacity is
 // rounded up to a power of two.
@@ -74,16 +76,22 @@ func (g *Global) Hash(n int, width uint) uint64 {
 // Folded maintains a compLen-bit cyclic compression of the most recent
 // origLen global-history bits, updated in O(1) per branch (Michaud/Seznec
 // folded history). Predictor tables keep one Folded per (table, use) pair.
+//
+// The layout is 16 bytes so a table's folds share cache lines, and the
+// update has no variable shift that could reach 64: the aging-out bit
+// enters through the precomputed outBit mask, and compLen (at most 32) is
+// masked at use, so the compiler emits a bare shift instead of the guard
+// Go's semantics require for larger counts.
 type Folded struct {
-	comp     uint64
-	mask     uint64 // (1 << compLen) - 1, precomputed for the hot path
-	compLen  uint
-	origLen  int
-	outPoint uint
+	comp    uint32
+	mask    uint32 // (1 << compLen) - 1, precomputed for the hot path
+	outBit  uint32 // 1 << (origLen % compLen): where the aging-out bit folds in
+	origLen uint16
+	compLen uint8
 }
 
 // NewFolded returns a compression of origLen bits into compLen bits
-// (1 <= compLen <= 32).
+// (0 <= origLen < 1<<16, 1 <= compLen <= 32).
 func NewFolded(origLen int, compLen uint) *Folded {
 	f := MakeFolded(origLen, compLen)
 	return &f
@@ -95,18 +103,21 @@ func MakeFolded(origLen int, compLen uint) Folded {
 	if compLen < 1 || compLen > 32 {
 		panic("history: folded compression length out of range")
 	}
+	if origLen < 0 || origLen > math.MaxUint16 {
+		panic("history: folded history length out of range")
+	}
 	return Folded{
-		mask:     1<<compLen - 1,
-		compLen:  compLen,
-		origLen:  origLen,
-		outPoint: uint(origLen) % compLen,
+		mask:    uint32(uint64(1)<<compLen - 1),
+		compLen: uint8(compLen),
+		outBit:  uint32(1) << (uint(origLen) % compLen),
+		origLen: uint16(origLen),
 	}
 }
 
 // Update advances the compression after g.Push recorded the newest bit.
 // It must be called exactly once per pushed bit, after the push.
 func (f *Folded) Update(g *Global) {
-	f.UpdateBits(uint64(g.Bit(0)), uint64(g.Bit(f.origLen)))
+	f.UpdateBits(uint64(g.Bit(0)), uint64(g.Bit(int(f.origLen))))
 }
 
 // UpdateBits is Update with the two history bits (the newest bit and the
@@ -114,17 +125,17 @@ func (f *Folded) Update(g *Global) {
 // Predictors updating many folds that share an origLen use it to fetch
 // each bit from the global history once instead of once per fold.
 func (f *Folded) UpdateBits(newest, oldest uint64) {
-	c := (f.comp << 1) | newest
-	c ^= oldest << f.outPoint
-	c ^= c >> f.compLen
-	f.comp = c & f.mask
+	c := uint64(f.comp)<<1 | newest
+	c ^= -oldest & uint64(f.outBit) // oldest is 0 or 1
+	c ^= c >> (f.compLen & 63)
+	f.comp = uint32(c) & f.mask
 }
 
 // Value returns the current compLen-bit compression.
-func (f *Folded) Value() uint64 { return f.comp }
+func (f *Folded) Value() uint64 { return uint64(f.comp) }
 
 // OrigLen returns the history length being compressed.
-func (f *Folded) OrigLen() int { return f.origLen }
+func (f *Folded) OrigLen() int { return int(f.origLen) }
 
 // Reset clears the compression (used when rebuilding state).
 func (f *Folded) Reset() { f.comp = 0 }
@@ -133,6 +144,7 @@ func (f *Folded) Reset() { f.comp = 0 }
 // index hashes of tables with identical history lengths.
 type Path struct {
 	value uint64
+	mask  uint64 // (1 << width) - 1, precomputed for the hot path
 	width uint
 }
 
@@ -141,13 +153,12 @@ func NewPath(width uint) *Path {
 	if width == 0 || width > 64 {
 		panic("history: path width out of range")
 	}
-	return &Path{width: width}
+	return &Path{mask: ^uint64(0) >> (64 - width), width: width}
 }
 
 // Push shifts one address bit of pc into the path history.
 func (p *Path) Push(pc uint64) {
-	p.value = (p.value << 1) | ((pc >> 2) & 1)
-	p.value &= (1 << p.width) - 1
+	p.value = ((p.value << 1) | ((pc >> 2) & 1)) & p.mask
 }
 
 // Value returns the current path bits.

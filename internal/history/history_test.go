@@ -204,3 +204,16 @@ func TestPathPanicsOnBadWidth(t *testing.T) {
 		}()
 	}
 }
+
+func TestFoldedPanicsOnBadLength(t *testing.T) {
+	for _, l := range []int{-1, 1 << 16} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("NewFolded(%d, 8) must panic", l)
+				}
+			}()
+			NewFolded(l, 8)
+		}()
+	}
+}

@@ -36,11 +36,11 @@ func (g *Global) LoadState(r *snapshot.Reader) {
 
 // SaveState writes the current compressed value; the fold geometry is
 // configuration, not state.
-func (f *Folded) SaveState(w *snapshot.Writer) { w.U64(f.comp) }
+func (f *Folded) SaveState(w *snapshot.Writer) { w.U64(uint64(f.comp)) }
 
 // LoadState restores the compressed value, rejecting out-of-range bits.
 func (f *Folded) LoadState(r *snapshot.Reader) {
-	f.comp = r.U64Max(uint64(1)<<f.compLen - 1)
+	f.comp = uint32(r.U64Max(uint64(f.mask)))
 }
 
 // SaveState writes the current path bits.
@@ -48,9 +48,5 @@ func (p *Path) SaveState(w *snapshot.Writer) { w.U64(p.value) }
 
 // LoadState restores the path bits, rejecting values wider than the path.
 func (p *Path) LoadState(r *snapshot.Reader) {
-	max := uint64(1)<<p.width - 1
-	if p.width >= 64 {
-		max = ^uint64(0)
-	}
-	p.value = r.U64Max(max)
+	p.value = r.U64Max(p.mask)
 }

@@ -78,7 +78,7 @@ func New(cfg Config) (*Predictor, error) {
 	p := &Predictor{
 		cfg:      cfg,
 		tsl:      tsl,
-		bank:     tage.NewTagBank(cfg.TagBits),
+		bank:     tsl.AttachTagBank(cfg.TagBits),
 		cidDelay: NewCtxDelay(cfg.D, cfg.W),
 		active:   cfg.activeHistIndices(),
 		pb:       NewPatternBuffer(cfg.PBEntries),
@@ -333,7 +333,6 @@ func (p *Predictor) Update(b core.Branch, pred core.Prediction) {
 		}
 	}
 	p.tsl.CommitDetail(b, d, scInput, scApplied)
-	p.bank.Update(p.tsl.History())
 	p.tick++
 }
 
@@ -378,7 +377,6 @@ func (p *Predictor) allocate(b core.Branch, pred core.Prediction) {
 // rolling context register, and the prefetch engine.
 func (p *Predictor) TrackUnconditional(b core.Branch) {
 	p.tsl.TrackUnconditional(b)
-	p.bank.Update(p.tsl.History())
 	p.tick++
 	if p.cfg.NoContext {
 		return

@@ -102,7 +102,7 @@ func New(cfg Config) (*Predictor, error) {
 	p := &Predictor{
 		cfg:          cfg,
 		tsl:          tsl,
-		bank:         tage.NewTagBank(cfg.Base.TagBits),
+		bank:         tsl.AttachTagBank(cfg.Base.TagBits),
 		pb:           llbp.NewPatternBuffer(cfg.Base.PBEntries),
 		ctt:          newCTT(cfg.CTTEntries, cfg.CTTAssoc, cfg.CTTTagBits, cfg.AvgHistSat),
 		shallowLens:  cfg.shallowLens(),
@@ -325,7 +325,6 @@ func (p *Predictor) Update(b core.Branch, pred core.Prediction) {
 		scInput = c.pat.Taken()
 	}
 	p.tsl.CommitDetail(b, d, scInput, !d.LoopValid)
-	p.bank.Update(p.tsl.History())
 	p.tick++
 
 	if mis && p.cfg.ModelFalsePath {
@@ -402,7 +401,6 @@ func (p *Predictor) observeAllocation(wantBits int) {
 // TrackUnconditional implements core.Predictor.
 func (p *Predictor) TrackUnconditional(b core.Branch) {
 	p.tsl.TrackUnconditional(b)
-	p.bank.Update(p.tsl.History())
 	p.tick++
 
 	p.rcr.Push(b.PC)

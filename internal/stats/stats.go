@@ -1,13 +1,12 @@
 // Package stats provides the small measurement toolkit used across the
-// reproduction: misprediction accounting, histograms keyed by integer
-// buckets, and plain-text table rendering for the experiment harness.
+// reproduction: misprediction accounting and plain-text table rendering
+// for the experiment harness.
 package stats
 
 import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -57,78 +56,6 @@ func Reduction(base, x float64) float64 {
 		return 0
 	}
 	return (base - x) / base
-}
-
-// Histogram -------------------------------------------------------------
-
-// Histogram counts occurrences keyed by an int64 bucket (e.g. history
-// length, patterns-per-context).
-type Histogram struct {
-	counts map[int64]uint64
-}
-
-// NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram {
-	return &Histogram{counts: make(map[int64]uint64)}
-}
-
-// Add increments bucket k by n.
-func (h *Histogram) Add(k int64, n uint64) {
-	h.counts[k] += n
-}
-
-// Count returns the count in bucket k.
-func (h *Histogram) Count(k int64) uint64 { return h.counts[k] }
-
-// Total returns the sum over all buckets.
-func (h *Histogram) Total() uint64 {
-	var t uint64
-	for _, c := range h.counts {
-		t += c
-	}
-	return t
-}
-
-// Keys returns the bucket keys in ascending order.
-func (h *Histogram) Keys() []int64 {
-	ks := make([]int64, 0, len(h.counts))
-	for k := range h.counts {
-		ks = append(ks, k)
-	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	return ks
-}
-
-// Quantile returns the smallest bucket key at or below which fraction q of
-// the mass lies. q must be in [0, 1].
-func (h *Histogram) Quantile(q float64) int64 {
-	total := h.Total()
-	if total == 0 {
-		return 0
-	}
-	target := uint64(math.Ceil(q * float64(total)))
-	var cum uint64
-	for _, k := range h.Keys() {
-		cum += h.counts[k]
-		if cum >= target {
-			return k
-		}
-	}
-	ks := h.Keys()
-	return ks[len(ks)-1]
-}
-
-// Mean returns the count-weighted mean bucket key.
-func (h *Histogram) Mean() float64 {
-	total := h.Total()
-	if total == 0 {
-		return 0
-	}
-	var sum float64
-	for k, c := range h.counts {
-		sum += float64(k) * float64(c)
-	}
-	return sum / float64(total)
 }
 
 // Table rendering --------------------------------------------------------

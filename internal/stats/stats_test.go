@@ -48,45 +48,6 @@ func TestReduction(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram()
-	h.Add(5, 10)
-	h.Add(1, 30)
-	h.Add(9, 60)
-	if h.Total() != 100 {
-		t.Fatalf("Total = %d", h.Total())
-	}
-	if h.Count(5) != 10 {
-		t.Fatalf("Count(5) = %d", h.Count(5))
-	}
-	if keys := h.Keys(); len(keys) != 3 || keys[0] != 1 || keys[2] != 9 {
-		t.Fatalf("Keys = %v", keys)
-	}
-	if q := h.Quantile(0.3); q != 1 {
-		t.Fatalf("Quantile(0.3) = %d, want 1", q)
-	}
-	if q := h.Quantile(0.4); q != 5 {
-		t.Fatalf("Quantile(0.4) = %d, want 5", q)
-	}
-	if q := h.Quantile(0.5); q != 9 {
-		t.Fatalf("Quantile(0.5) = %d, want 9 (the 50th mass unit lies in bucket 9)", q)
-	}
-	if q := h.Quantile(1.0); q != 9 {
-		t.Fatalf("Quantile(1.0) = %d, want 9", q)
-	}
-	want := (1.0*30 + 5.0*10 + 9.0*60) / 100
-	if m := h.Mean(); math.Abs(m-want) > 1e-12 {
-		t.Fatalf("Mean = %v, want %v", m, want)
-	}
-}
-
-func TestHistogramEmpty(t *testing.T) {
-	h := NewHistogram()
-	if h.Quantile(0.5) != 0 || h.Mean() != 0 || h.Total() != 0 {
-		t.Fatal("empty histogram must report zeros")
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tbl := NewTable("demo", "name", "value")
 	tbl.AddRow("alpha", 1.5)

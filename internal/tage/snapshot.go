@@ -21,9 +21,10 @@ func (p *Predictor) SaveState(w *snapshot.Writer) {
 	p.ghist.SaveState(w)
 	p.path.SaveState(w)
 	for i := 0; i < NumTables; i++ {
-		p.idxFold[i].SaveState(w)
-		p.tagFold1[i].SaveState(w)
-		p.tagFold2[i].SaveState(w)
+		f := &p.folds[i]
+		f.idx.SaveState(w)
+		f.tag1.SaveState(w)
+		f.tag2.SaveState(w)
 	}
 	if p.cfg.Infinite {
 		w.Marker("tage.inf")
@@ -84,9 +85,10 @@ func (p *Predictor) LoadState(r *snapshot.Reader) {
 	p.ghist.LoadState(r)
 	p.path.LoadState(r)
 	for i := 0; i < NumTables; i++ {
-		p.idxFold[i].LoadState(r)
-		p.tagFold1[i].LoadState(r)
-		p.tagFold2[i].LoadState(r)
+		f := &p.folds[i]
+		f.idx.LoadState(r)
+		f.tag1.LoadState(r)
+		f.tag2.LoadState(r)
 	}
 	ctrMin, ctrMax := int64(p.ctrMin()), int64(p.ctrMax())
 	if p.cfg.Infinite {
@@ -250,19 +252,24 @@ func (l *loopPredictor) loadState(r *snapshot.Reader) {
 }
 
 // SaveState writes the bank's folded registers; geometry is configuration.
+// The registers live in the owning predictor but stay in the bank's own
+// snapshot section, so the byte format does not depend on who advances
+// them.
 func (b *TagBank) SaveState(w *snapshot.Writer) {
 	w.Marker("tage.tagbank")
-	for i := range b.f1 {
-		b.f1[i].SaveState(w)
-		b.f2[i].SaveState(w)
+	for i := range b.p.folds {
+		f := &b.p.folds[i]
+		f.bank1.SaveState(w)
+		f.bank2.SaveState(w)
 	}
 }
 
 // LoadState restores the bank's folded registers.
 func (b *TagBank) LoadState(r *snapshot.Reader) {
 	r.Marker("tage.tagbank")
-	for i := range b.f1 {
-		b.f1[i].LoadState(r)
-		b.f2[i].LoadState(r)
+	for i := range b.p.folds {
+		f := &b.p.folds[i]
+		f.bank1.LoadState(r)
+		f.bank2.LoadState(r)
 	}
 }

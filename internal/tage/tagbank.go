@@ -6,47 +6,41 @@ import (
 )
 
 // TagBank computes pattern tags of a fixed width for every TAGE history
-// length, from its own folded registers hooked to a shared global history.
-// LLBP and LLBP-X use one to form the (wider-than-TAGE) tags stored in
-// their pattern sets; the bank must observe every history push the primary
-// predictor performs, in the same order.
+// length. LLBP and LLBP-X use one to form the (wider-than-TAGE) tags
+// stored in their pattern sets. Its folded registers are owned by the
+// predictor it is attached to, which advances them in the same pass as its
+// own folds, so the bank always sees exactly the predictor's history.
 type TagBank struct {
+	p     *Predictor
 	width uint
-	f1    [NumTables]history.Folded
-	f2    [NumTables]history.Folded
+	mask  uint64
 }
 
-// NewTagBank returns a bank producing width-bit tags (5 <= width <= 31)
-// for each of the standard HistoryLengths.
-func NewTagBank(width uint) *TagBank {
+// AttachTagBank gives p a bank producing width-bit tags (5 <= width <= 31)
+// for each of the standard HistoryLengths. Attach it before the first
+// branch; a predictor carries at most one bank.
+func (p *Predictor) AttachTagBank(width uint) *TagBank {
 	if width < 5 || width > 31 {
 		panic("tage: TagBank width out of range [5,31]")
 	}
-	b := &TagBank{width: width}
-	for i, l := range HistoryLengths {
-		b.f1[i] = history.MakeFolded(l, width)
-		b.f2[i] = history.MakeFolded(l, width-1)
+	if p.bank != nil {
+		panic("tage: predictor already has a TagBank")
 	}
-	return b
+	for i, l := range HistoryLengths {
+		p.folds[i].bank1 = history.MakeFolded(l, width)
+		p.folds[i].bank2 = history.MakeFolded(l, width-1)
+	}
+	p.bank = &TagBank{p: p, width: width, mask: uint64(1)<<width - 1}
+	return p.bank
 }
 
 // Width returns the tag width in bits.
 func (b *TagBank) Width() uint { return b.width }
 
-// Update advances the folds after g received a new bit; call exactly once
-// per retired branch, after the primary predictor's history push.
-func (b *TagBank) Update(g *history.Global) {
-	newest := uint64(g.Bit(0))
-	for i, l := range HistoryLengths {
-		oldest := uint64(g.Bit(l))
-		b.f1[i].UpdateBits(newest, oldest)
-		b.f2[i].UpdateBits(newest, oldest)
-	}
-}
-
 // Tag returns the width-bit pattern tag for pc at history length index
 // lenIdx (into HistoryLengths), using the current history state.
 func (b *TagBank) Tag(pc uint64, lenIdx int) uint32 {
-	t := hashutil.PCMix(pc) ^ b.f1[lenIdx].Value() ^ (b.f2[lenIdx].Value() << 1)
-	return uint32(t & (uint64(1)<<b.width - 1))
+	f := &b.p.folds[lenIdx]
+	t := hashutil.PCMix(pc) ^ f.bank1.Value() ^ (f.bank2.Value() << 1)
+	return uint32(t & b.mask)
 }

@@ -50,38 +50,59 @@ type Detail struct {
 	SCUsed bool
 }
 
-// Predictor is a TAGE-SC-L instance. It implements core.Predictor for
-// standalone use and exposes Lookup/CommitDetail/TrackUnconditional plus
-// history access for the hierarchical predictors layered on top of it.
-// Not safe for concurrent use.
 // hashConst holds the per-table constants of the index/tag hash, computed
 // once at construction so computeHashes does no per-branch config checks.
 type hashConst struct {
-	logE     uint
-	idxMask  uint64
-	shift    uint
 	tagMask  uint64
 	pathMask uint64
-	offset   uint64
+	// foldedOffset is the table's index-hash constant, already folded to
+	// the index width (Fold is XOR-linear, so it folds once, here).
+	foldedOffset uint64
+	// shiftGroup selects the table's PC term in Predictor.shiftFold.
+	shiftGroup uint8
 }
 
+// tableFolds holds the folded registers that compress one table's history
+// length: the table's own index and tag folds, and the two folds of an
+// attached TagBank. pushHistory advances all of them from one fetch of the
+// bit aging out of that length.
+type tableFolds struct {
+	idx, tag1, tag2 history.Folded
+	bank1, bank2    history.Folded // zero unless a TagBank is attached
+}
+
+// Number of distinct index-hash PC shifts (table i shifts by i%7+2) and
+// the width of the path history mixed into the index.
+const (
+	shiftGroups = 7
+	pathBits    = 16
+)
+
+// Predictor is a TAGE-SC-L instance. It implements core.Predictor for
+// standalone use and exposes Lookup/CommitDetail/TrackUnconditional plus
+// an attachable TagBank for the hierarchical predictors layered on top of
+// it. Not safe for concurrent use.
 type Predictor struct {
 	cfg Config
 
 	ghist *history.Global
 	path  *history.Path
 
-	// Folded registers live inline: one cache-friendly array per use
-	// instead of NumTables heap objects each.
-	idxFold  [NumTables]history.Folded
-	tagFold1 [NumTables]history.Folded
-	tagFold2 [NumTables]history.Folded
+	// Folded registers live inline, grouped per table so one history push
+	// touches each table's folds together.
+	folds [NumTables]tableFolds
+	bank  *TagBank
 
 	hc [NumTables]hashConst
+	// The index width, the halving-fold windows of 64-bit and path-width
+	// values at that width, and the PC term of the index hash per distinct
+	// shift, folded once per lookup.
+	logE, foldSpan, pathSpan uint
+	shiftFold                [shiftGroups]uint64
 
-	tables  [][]entry            // finite mode
-	inf     []oatable.Map[entry] // infinite mode, keyed alias-free
-	infTag1 [NumTables]history.Folded
+	tables  [][]entry                 // finite mode
+	inf     []oatable.Map[entry]      // infinite mode, keyed alias-free
+	infTag1 [NumTables]history.Folded // infinite-mode key folds
 	infTag2 [NumTables]history.Folded
 	bimodal []int8
 
@@ -112,31 +133,30 @@ func New(cfg Config) (*Predictor, error) {
 	p := &Predictor{
 		cfg:   cfg,
 		ghist: history.NewGlobal(HistoryLengths[NumTables-1] + 8),
-		path:  history.NewPath(16),
+		path:  history.NewPath(pathBits),
 		rng:   hashutil.NewRand(0x7a5e5),
 	}
+	logE := uint(cfg.LogEntries)
+	if cfg.Infinite {
+		logE = 10 // inf mode still folds for key mixing
+	}
+	p.logE = logE
+	p.foldSpan = hashutil.FoldSpan(64, logE)
+	p.pathSpan = hashutil.FoldSpan(pathBits, logE)
 	for i, l := range HistoryLengths {
-		logE := cfg.LogEntries
-		if cfg.Infinite {
-			logE = 10 // inf mode still folds for key mixing
-		}
-		p.idxFold[i] = history.MakeFolded(l, uint(logE))
-		tb := cfg.tagBits(i)
+		tb := uint(cfg.tagBits(i))
 		if cfg.Infinite {
 			tb = 12
 		}
-		p.tagFold1[i] = history.MakeFolded(l, uint(tb))
-		p.tagFold2[i] = history.MakeFolded(l, uint(tb-1))
+		f := &p.folds[i]
+		f.idx = history.MakeFolded(l, logE)
+		f.tag1 = history.MakeFolded(l, tb)
+		f.tag2 = history.MakeFolded(l, tb-1)
 		p.hc[i] = hashConst{
-			logE:     uint(logE),
-			idxMask:  uint64(1)<<uint(logE) - 1,
-			shift:    uint(i%7) + 2,
-			tagMask:  uint64(1)<<uint(tb) - 1,
-			pathMask: ^uint64(0),
-			offset:   uint64(i) * 0x9e3779b9,
-		}
-		if l < 16 {
-			p.hc[i].pathMask = uint64(1)<<uint(l) - 1
+			tagMask:      uint64(1)<<tb - 1,
+			pathMask:     uint64(1)<<min(l, pathBits) - 1,
+			foldedOffset: hashutil.Fold(uint64(i)*0x9e3779b9, logE),
+			shiftGroup:   uint8(i % shiftGroups),
 		}
 	}
 	if cfg.Infinite {
@@ -180,10 +200,6 @@ func (p *Predictor) Name() string { return p.cfg.Name }
 // Config returns the predictor's configuration.
 func (p *Predictor) Config() Config { return p.cfg }
 
-// History exposes the global history register so second-level predictors
-// can hook their own folded registers to the same bit stream.
-func (p *Predictor) History() *history.Global { return p.ghist }
-
 func ctrTaken(c int8) bool { return c >= 0 }
 
 func confidence(c int8) int {
@@ -214,15 +230,25 @@ func (p *Predictor) bimIndex(pc uint64) uint64 {
 
 // computeHashes fills the per-table index and tag scratch for pc using the
 // current (pre-branch) history state.
+//
+// The index of table i is Fold(m ^ m>>shift_i ^ path&pathMask_i ^ idx_i ^
+// offset_i) with m = PCMix(pc). Fold is XOR-linear, so it is computed
+// term by term: the PC term once per distinct shift, the 16-bit path term
+// with a shorter fold, the offset at construction, and idx_i not at all,
+// since the fold register is already logE bits wide.
 func (p *Predictor) computeHashes(pc uint64) {
 	mixed := hashutil.PCMix(pc)
-	pathBits := p.path.Value()
-	for i := 0; i < NumTables; i++ {
+	logE, span, pathSpan := p.logE, p.foldSpan, p.pathSpan
+	for g := range p.shiftFold {
+		p.shiftFold[g] = hashutil.FoldN(mixed^mixed>>(uint(g)+2), logE, span)
+	}
+	path := p.path.Value()
+	for i := range p.hc {
 		h := &p.hc[i]
-		idx := mixed ^ (mixed >> h.shift) ^ p.idxFold[i].Value() ^ (pathBits & h.pathMask) ^ h.offset
-		p.idx[i] = uint32(hashutil.Fold(idx, h.logE) & h.idxMask)
-
-		t := mixed ^ p.tagFold1[i].Value() ^ (p.tagFold2[i].Value() << 1)
+		f := &p.folds[i]
+		pathTerm := hashutil.FoldN(path&h.pathMask, logE, pathSpan)
+		p.idx[i] = uint32(p.shiftFold[h.shiftGroup] ^ pathTerm ^ f.idx.Value() ^ h.foldedOffset)
+		t := mixed ^ f.tag1.Value() ^ (f.tag2.Value() << 1)
 		p.tag[i] = uint32(t & h.tagMask)
 	}
 }
@@ -478,28 +504,28 @@ func (p *Predictor) allocate(pc uint64, taken bool, provider int) {
 }
 
 // pushHistory records the branch's canonical history bit and advances all
-// folded registers; it must run exactly once per retired branch.
+// folded registers, those of an attached TagBank included, in one pass; it
+// must run exactly once per retired branch. All folds of table i compress
+// the same HistoryLengths[i] bits, so the bit aging out of that window is
+// fetched once per table.
 func (p *Predictor) pushHistory(b core.Branch) {
 	p.ghist.Push(core.HistoryBit(b))
 	p.path.Push(b.PC)
-	// All folds of table i compress the same HistoryLengths[i] bits, so the
-	// two history bits each update needs are fetched once per table.
 	newest := uint64(p.ghist.Bit(0))
-	if p.cfg.Infinite {
-		for i := 0; i < NumTables; i++ {
-			oldest := uint64(p.ghist.Bit(HistoryLengths[i]))
-			p.idxFold[i].UpdateBits(newest, oldest)
-			p.tagFold1[i].UpdateBits(newest, oldest)
-			p.tagFold2[i].UpdateBits(newest, oldest)
+	bank, inf := p.bank != nil, p.cfg.Infinite
+	for i := range p.folds {
+		f := &p.folds[i]
+		oldest := uint64(p.ghist.Bit(HistoryLengths[i]))
+		f.idx.UpdateBits(newest, oldest)
+		f.tag1.UpdateBits(newest, oldest)
+		f.tag2.UpdateBits(newest, oldest)
+		if bank {
+			f.bank1.UpdateBits(newest, oldest)
+			f.bank2.UpdateBits(newest, oldest)
+		}
+		if inf {
 			p.infTag1[i].UpdateBits(newest, oldest)
 			p.infTag2[i].UpdateBits(newest, oldest)
-		}
-	} else {
-		for i := 0; i < NumTables; i++ {
-			oldest := uint64(p.ghist.Bit(HistoryLengths[i]))
-			p.idxFold[i].UpdateBits(newest, oldest)
-			p.tagFold1[i].UpdateBits(newest, oldest)
-			p.tagFold2[i].UpdateBits(newest, oldest)
 		}
 	}
 	if p.sc != nil {

@@ -5,6 +5,7 @@ import (
 
 	"llbpx/internal/core"
 	"llbpx/internal/hashutil"
+	"llbpx/internal/history"
 )
 
 func condBranch(pc uint64, taken bool) core.Branch {
@@ -243,7 +244,7 @@ func TestPatternCountGrows(t *testing.T) {
 
 func TestTagBank(t *testing.T) {
 	p := MustNew(Config64K())
-	bank := NewTagBank(13)
+	bank := p.AttachTagBank(13)
 	if bank.Width() != 13 {
 		t.Fatal("width accessor broken")
 	}
@@ -263,7 +264,6 @@ func TestTagBank(t *testing.T) {
 		}
 		d := p.Lookup(b.PC)
 		p.CommitDetail(b, d, d.TageTaken, true)
-		bank.Update(p.History())
 	}
 	// After history moved, long-history tags should change.
 	changed := false
@@ -280,10 +280,10 @@ func TestTagBank(t *testing.T) {
 func TestTagBankPanicsOnBadWidth(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewTagBank(40) must panic")
+			t.Fatal("AttachTagBank(40) must panic")
 		}
 	}()
-	NewTagBank(40)
+	MustNew(Config64K()).AttachTagBank(40)
 }
 
 func TestSCDecideSideEffectFree(t *testing.T) {
@@ -334,5 +334,52 @@ func TestUsefulnessAging(t *testing.T) {
 	}
 	if p.PatternCount() == 0 {
 		t.Fatal("no patterns allocated across aging sweeps")
+	}
+}
+
+// TestFusedHashesMatchReference checks the split index hash and the fused
+// fold pass against their textbook forms: per table, the whole index
+// expression folded at once, and every register (the attached bank's
+// included) advanced on its own from the global history.
+func TestFusedHashesMatchReference(t *testing.T) {
+	for _, cfg := range []Config{Config8K(), Config64K(), Config512K(), ConfigInf()} {
+		p := MustNew(cfg)
+		bank := p.AttachTagBank(17)
+		var ref [NumTables][2]history.Folded
+		for i, l := range HistoryLengths {
+			ref[i] = [2]history.Folded{history.MakeFolded(l, 17), history.MakeFolded(l, 16)}
+		}
+		rng := hashutil.NewRand(uint64(cfg.LogEntries))
+		for n := 0; n < 4000; n++ {
+			pc := 0x40_0000 + uint64(rng.Intn(512))*4
+			p.computeHashes(pc)
+			mixed := hashutil.PCMix(pc)
+			for i, l := range HistoryLengths {
+				pathMask := ^uint64(0)
+				if l < 16 {
+					pathMask = uint64(1)<<uint(l) - 1
+				}
+				x := mixed ^ mixed>>(uint(i%7)+2) ^ p.folds[i].idx.Value() ^ (p.path.Value() & pathMask) ^ uint64(i)*0x9e3779b9
+				if want := uint32(hashutil.Fold(x, p.logE)); p.idx[i] != want {
+					t.Fatalf("%s: branch %d table %d: index %#x, want %#x", cfg.Name, n, i, p.idx[i], want)
+				}
+				want := uint32((mixed ^ ref[i][0].Value() ^ ref[i][1].Value()<<1) & (1<<17 - 1))
+				if got := bank.Tag(pc, i); got != want {
+					t.Fatalf("%s: branch %d length %d: bank tag %#x, want %#x", cfg.Name, n, i, got, want)
+				}
+			}
+			b := condBranch(pc, rng.Bool(0.6))
+			if n%5 == 0 {
+				b.Kind = core.Jump
+				b.Taken = true
+				p.TrackUnconditional(b)
+			} else {
+				drive(p, b)
+			}
+			for i := range ref {
+				ref[i][0].Update(p.ghist)
+				ref[i][1].Update(p.ghist)
+			}
+		}
 	}
 }

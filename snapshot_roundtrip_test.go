@@ -97,7 +97,7 @@ func rtStats(p llbpx.Predictor) map[string]float64 {
 }
 
 func TestSnapshotRoundTripBitIdentical(t *testing.T) {
-	for _, predName := range llbpx.PredictorNames() {
+	for _, predName := range builtinPredictors {
 		for _, wlName := range llbpx.WorkloadNames() {
 			t.Run(predName+"/"+wlName, func(t *testing.T) {
 				t.Parallel()

@@ -1,13 +1,14 @@
 package llbpx_test
 
-// Facade-level predictor-registry extension tests. The zz_ filename is
-// load-bearing: tests run in file order, and earlier suites
-// (fingerprint_test.go, snapshot_roundtrip_test.go) iterate
-// llbpx.PredictorNames() expecting only builtin entries — so the custom
-// registration below must run after them.
+// Facade-level predictor-registry extension tests. The registry is
+// process-global and has no unregister, so the golden suites iterate
+// builtinPredictors (captured before any test runs) rather than
+// llbpx.PredictorNames(), and the registration below happens once per
+// process so the test can repeat under -count.
 
 import (
 	"sort"
+	"sync"
 	"testing"
 
 	"llbpx"
@@ -25,10 +26,16 @@ func (a *alternating) Predict(pc uint64) llbpx.Prediction {
 func (a *alternating) Update(b llbpx.Branch, pred llbpx.Prediction) {}
 func (a *alternating) TrackUnconditional(b llbpx.Branch)            {}
 
+// registerAlternating registers the stub on first use; later calls in the
+// same process return the first call's result.
+var registerAlternating = sync.OnceValue(func() error {
+	return llbpx.RegisterPredictor("zz-alternating", "test-only alternating stub",
+		func() (llbpx.Predictor, error) { return &alternating{}, nil })
+})
+
 func TestRegisterPredictorFacade(t *testing.T) {
 	const name = "zz-alternating"
-	if err := llbpx.RegisterPredictor(name, "test-only alternating stub",
-		func() (llbpx.Predictor, error) { return &alternating{}, nil }); err != nil {
+	if err := registerAlternating(); err != nil {
 		t.Fatal(err)
 	}
 
