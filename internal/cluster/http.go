@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 
-	"llbpx/internal/core"
 	"llbpx/internal/serve"
 	"llbpx/internal/stats"
 	"llbpx/internal/wire"
@@ -21,9 +20,6 @@ import (
 // plain HTTP clients to the exactly-once resend contract across
 // reroutes: a forward whose response was lost is resent and answered as
 // a duplicate instead of double-applied.
-
-// maxBodyBytes mirrors llbpd's predict-body bound.
-const maxBodyBytes = 64 << 20
 
 // ServeHTTP implements http.Handler, with llbpd's panic-to-envelope
 // guard.
@@ -127,30 +123,12 @@ func wireSessionStats(st wire.WireStats) serve.SessionStats {
 
 func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	var req serve.PredictRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, serve.CodeBadRequest, "bad batch body: %v", err)
+	call, aerr := serve.ReadPredict(w, r, g.cfg.MaxBatch)
+	if aerr != nil {
+		writeError(w, aerr.Status, aerr.Code, "%s", aerr.Message)
 		return
 	}
-	if len(req.Branches) == 0 {
-		writeError(w, http.StatusBadRequest, serve.CodeBadRequest, "empty batch")
-		return
-	}
-	if len(req.Branches) > g.cfg.MaxBatch {
-		writeError(w, http.StatusRequestEntityTooLarge, serve.CodeBatchTooLarge,
-			"batch of %d branches exceeds limit %d", len(req.Branches), g.cfg.MaxBatch)
-		return
-	}
-	batch := make([]core.Branch, len(req.Branches))
-	for i, rec := range req.Branches {
-		b := rec.ToBranch()
-		if !b.Kind.Valid() {
-			writeError(w, http.StatusBadRequest, serve.CodeBadRequest, "branch %d: invalid kind %d", i, rec.Kind)
-			return
-		}
-		batch[i] = b
-	}
+	defer call.Release()
 
 	gs := g.session(id, true)
 	gs.mu.Lock()
@@ -160,7 +138,7 @@ func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var ok wire.PredictOK
-	dup, err := g.forward(r.Context(), gs, req.Predictor, 0, batch, &ok)
+	dup, err := g.forward(r.Context(), gs, call.Predictor, 0, call.Branches, &ok)
 	if err != nil {
 		writeForwardError(w, err)
 		return
@@ -174,8 +152,8 @@ func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
 		Stats:     wireSessionStats(ok.Stats),
 	}
 	if !dup {
-		preds := make([]serve.BranchPrediction, len(batch))
-		for i := range batch {
+		preds := call.Predictions()
+		for i := range preds {
 			preds[i] = serve.BranchPrediction{
 				Cond:        wire.Bit(ok.Cond, i),
 				Taken:       wire.Bit(ok.Taken, i),
@@ -185,7 +163,7 @@ func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Predictions = preds
 	}
-	writeJSON(w, http.StatusOK, resp)
+	call.WriteResponse(w, &resp)
 }
 
 func (g *Gateway) handleSessionGet(w http.ResponseWriter, r *http.Request) {

@@ -28,20 +28,20 @@ func HasTrendCheck(id string) bool {
 }
 
 var trendChecks = map[string]func(*Result) []string{
-	"table1":  checkTable1,
-	"fig1":    checkFig1,
-	"fig4":    checkFig4,
-	"fig5":    checkFig5,
-	"fig6":    checkFig6,
-	"fig7":    checkFig7,
-	"fig8":    checkFig8,
-	"fig12":   checkFig12,
-	"fig13":   checkFig13,
-	"fig14b":  checkFig14b,
-	"fig15a":  checkFig15a,
-	"fig15b":  checkFig15b,
-	"fig16a":  checkFig16a,
-	"fig16b":  checkFig16b,
+	"table1":    checkTable1,
+	"fig1":      checkFig1,
+	"fig4":      checkFig4,
+	"fig5":      checkFig5,
+	"fig6":      checkFig6,
+	"fig7":      checkFig7,
+	"fig8":      checkFig8,
+	"fig12":     checkFig12,
+	"fig13":     checkFig13,
+	"fig14b":    checkFig14b,
+	"fig15a":    checkFig15a,
+	"fig15b":    checkFig15b,
+	"fig16a":    checkFig16a,
+	"fig16b":    checkFig16b,
 	"sweep-w":   checkSweepW,
 	"diversity": checkDiversity,
 }

@@ -108,19 +108,11 @@ func (c *Client) ShedSeen() uint64 { return c.nshed.Load() }
 // Predict streams one batch to session id, creating the session with the
 // named predictor if it does not exist ("" = server default).
 func (c *Client) Predict(ctx context.Context, id, predictor string, batch []core.Branch) (*PredictResponse, error) {
-	records := make([]BranchRecord, len(batch))
-	for i, b := range batch {
-		records[i] = RecordFromBranch(b)
-	}
-	body, err := json.Marshal(PredictRequest{
-		Predictor:           predictor,
-		WorkloadFingerprint: c.Fingerprint,
-		Branches:            records,
-	})
-	if err != nil {
-		return nil, err
-	}
-	var out PredictResponse
+	// The body is not pooled: the transport may still be reading a
+	// request body after Do returns, and a retry resends it.
+	body := AppendPredictRequest(make([]byte, 0, 64*len(batch)+len(predictor)+len(c.Fingerprint)+64),
+		predictor, c.Fingerprint, batch)
+	out := PredictResponse{Predictions: make([]BranchPrediction, 0, len(batch))}
 	if err := c.do(ctx, http.MethodPost, "/v1/sessions/"+url.PathEscape(id)+"/predict", body, &out); err != nil {
 		return nil, err
 	}
@@ -397,6 +389,9 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 	}
 	// From the first decoded byte of a 2xx the server has applied the
 	// request; a decode failure here is never retried.
+	if pr, ok := out.(*PredictResponse); ok {
+		return readPredictResponse(resp.Body, pr), false, 0
+	}
 	return json.NewDecoder(resp.Body).Decode(out), false, 0
 }
 

@@ -136,36 +136,14 @@ func writeError(w http.ResponseWriter, status int, code, format string, args ...
 
 // Handlers -----------------------------------------------------------------
 
-// maxBodyBytes bounds a predict request body; 64 bytes/branch of JSON is
-// generous, and MaxBatch bounds the decoded batch anyway.
-const maxBodyBytes = 64 << 20
-
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	var req PredictRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "bad batch body: %v", err)
+	call, aerr := ReadPredict(w, r, s.cfg.MaxBatch)
+	if aerr != nil {
+		writeError(w, aerr.Status, aerr.Code, "%s", aerr.Message)
 		return
 	}
-	if len(req.Branches) == 0 {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "empty batch")
-		return
-	}
-	if len(req.Branches) > s.cfg.MaxBatch {
-		writeError(w, http.StatusRequestEntityTooLarge, CodeBatchTooLarge,
-			"batch of %d branches exceeds limit %d", len(req.Branches), s.cfg.MaxBatch)
-		return
-	}
-	batch := make([]core.Branch, len(req.Branches))
-	for i, rec := range req.Branches {
-		b := rec.ToBranch()
-		if !b.Kind.Valid() {
-			writeError(w, http.StatusBadRequest, CodeBadRequest, "branch %d: invalid kind %d", i, rec.Kind)
-			return
-		}
-		batch[i] = b
-	}
+	defer call.Release()
 
 	// Fault site: fires before any state is touched, so an injected
 	// failure is reported as a retryable 503 — the batch was not applied.
@@ -183,7 +161,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.endBatch()
 
-	sess, created, restored, err := s.AcquireSession(id, req.Predictor, req.WorkloadFingerprint)
+	sess, created, restored, err := s.AcquireSession(id, call.Predictor, call.WorkloadFingerprint)
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrPredictorConflict):
@@ -221,7 +199,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	s.cfg.Faults.Delay(FaultBatchExec)
 	start := time.Now()
-	preds, delta, snap := sess.executeBatch(batch)
+	preds := call.Predictions()
+	delta, snap := sess.executeBatch(call.Branches, preds)
 	elapsed := time.Since(start)
 	s.releaseSlot()
 	s.metrics.observeBatch(sess.PredictorName, s.sessions.index(id), delta, elapsed, depth)
@@ -230,7 +209,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// budget; spill colder sessions before answering.
 	s.reclaimStore(sess)
 
-	writeJSON(w, http.StatusOK, PredictResponse{
+	call.WriteResponse(w, &PredictResponse{
 		Session:     id,
 		Predictor:   sess.PredictorName,
 		Created:     created,

@@ -105,12 +105,11 @@ func (s *Session) applyBatchLocked(batch []core.Branch) ([]core.Prediction, stat
 }
 
 // executeBatch is the HTTP path's batch execution: applyBatchLocked plus
-// materializing the JSON-shaped per-branch reply. It returns the
-// per-branch predictions, the batch's own stats delta (used for
-// server-wide per-predictor aggregation), and the session's post-batch
-// snapshot taken under the same lock.
-func (s *Session) executeBatch(batch []core.Branch) ([]BranchPrediction, stats.BranchStats, SessionStats) {
-	out := make([]BranchPrediction, len(batch))
+// filling out, the JSON-shaped per-branch reply (len(batch) long). It
+// returns the batch's own stats delta (used for server-wide per-predictor
+// aggregation) and the session's post-batch snapshot taken under the
+// same lock.
+func (s *Session) executeBatch(batch []core.Branch, out []BranchPrediction) (stats.BranchStats, SessionStats) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	preds, delta := s.applyBatchLocked(batch)
@@ -129,7 +128,7 @@ func (s *Session) executeBatch(batch []core.Branch) ([]BranchPrediction, stats.B
 			out[i] = BranchPrediction{Taken: true, Correct: true}
 		}
 	}
-	return out, delta, s.snapshotLocked()
+	return delta, s.snapshotLocked()
 }
 
 // snapshot returns the session's accumulated statistics.

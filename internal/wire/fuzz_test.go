@@ -32,16 +32,16 @@ func FuzzWireDecode(f *testing.F) {
 		AppendCloseOK(nil, 3, "tsl-8k", st),
 		AppendPing(nil, 4),
 		AppendPong(nil, 4),
-		{0xff, 0xff, 0xff, 0xff},                      // absurd length prefix
-		{0x06, 0x00, 0x00, 0x00, 0x01},                // truncated body
-		bytes.Repeat([]byte{0x80}, 32),                // non-terminating varint
+		{0xff, 0xff, 0xff, 0xff},                                           // absurd length prefix
+		{0x06, 0x00, 0x00, 0x00, 0x01},                                     // truncated body
+		bytes.Repeat([]byte{0x80}, 32),                                     // non-terminating varint
 		{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}, // 10-byte varint
 	}
 	for _, s := range seeds {
 		f.Add(s)
 		if len(s) > 6 {
-			f.Add(s[4:])            // body without length prefix
-			f.Add(s[:len(s)/2])     // torn frame
+			f.Add(s[4:])        // body without length prefix
+			f.Add(s[:len(s)/2]) // torn frame
 			flipped := bytes.Clone(s)
 			flipped[len(s)/2] ^= 0x10
 			f.Add(flipped)
