@@ -3,7 +3,6 @@ package cluster
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 
 	"llbpx/internal/serve"
@@ -26,7 +25,7 @@ import (
 func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	defer func() {
 		if p := recover(); p != nil {
-			writeError(w, http.StatusInternalServerError, serve.CodeInternal, "internal error: %v", p)
+			serve.WriteError(w, http.StatusInternalServerError, serve.CodeInternal, "internal error: %v", p)
 		}
 	}()
 	g.mux.ServeHTTP(w, r)
@@ -47,34 +46,16 @@ func (g *Gateway) buildMux() *http.ServeMux {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, code, format string, args ...any) {
-	writeJSON(w, status, struct {
-		Error struct {
-			Code    string `json:"code"`
-			Message string `json:"message"`
-		} `json:"error"`
-	}{Error: struct {
-		Code    string `json:"code"`
-		Message string `json:"message"`
-	}{Code: code, Message: fmt.Sprintf(format, args...)}})
-}
-
 // writeForwardError maps a failed forward onto the llbpd error contract:
 // NACK codes relay with their llbpd status, anything else is a 503 the
 // client may retry (the gateway never half-applied anything).
 func writeForwardError(w http.ResponseWriter, err error) {
 	var ne *wire.NackError
 	if errors.As(err, &ne) {
-		writeError(w, nackStatus(ne), ne.Code, "%s", ne.Message)
+		serve.WriteError(w, nackStatus(ne), ne.Code, "%s", ne.Message)
 		return
 	}
-	writeError(w, http.StatusServiceUnavailable, serve.CodeInternal, "forward failed: %v", err)
+	serve.WriteError(w, http.StatusServiceUnavailable, serve.CodeInternal, "forward failed: %v", err)
 }
 
 // nackStatus maps a downstream NACK code to the HTTP status llbpd itself
@@ -125,7 +106,7 @@ func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	call, aerr := serve.ReadPredict(w, r, g.cfg.MaxBatch)
 	if aerr != nil {
-		writeError(w, aerr.Status, aerr.Code, "%s", aerr.Message)
+		serve.WriteError(w, aerr.Status, aerr.Code, "%s", aerr.Message)
 		return
 	}
 	defer call.Release()
@@ -134,7 +115,7 @@ func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
 	gs.mu.Lock()
 	defer gs.mu.Unlock()
 	if gs.closed {
-		writeError(w, http.StatusNotFound, serve.CodeSessionNotFound, "session %q is closed", id)
+		serve.WriteError(w, http.StatusNotFound, serve.CodeSessionNotFound, "session %q is closed", id)
 		return
 	}
 	var ok wire.PredictOK
@@ -170,7 +151,7 @@ func (g *Gateway) handleSessionGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	gs := g.session(id, false)
 	if gs == nil {
-		writeError(w, http.StatusNotFound, serve.CodeSessionNotFound, "no session %q", id)
+		serve.WriteError(w, http.StatusNotFound, serve.CodeSessionNotFound, "no session %q", id)
 		return
 	}
 	gs.mu.Lock()
@@ -179,20 +160,20 @@ func (g *Gateway) handleSessionGet(w http.ResponseWriter, r *http.Request) {
 	gs.mu.Unlock()
 	bs := g.backend(owner)
 	if closed || bs == nil {
-		writeError(w, http.StatusNotFound, serve.CodeSessionNotFound, "no session %q", id)
+		serve.WriteError(w, http.StatusNotFound, serve.CodeSessionNotFound, "no session %q", id)
 		return
 	}
 	fin, err := bs.hc.SessionStats(r.Context(), id)
 	if err != nil {
 		var ae *serve.APIError
 		if errors.As(err, &ae) {
-			writeError(w, ae.Status, ae.Code, "%s", ae.Message)
+			serve.WriteError(w, ae.Status, ae.Code, "%s", ae.Message)
 			return
 		}
-		writeError(w, http.StatusServiceUnavailable, serve.CodeInternal, "owner unreachable: %v", err)
+		serve.WriteError(w, http.StatusServiceUnavailable, serve.CodeInternal, "owner unreachable: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, fin)
+	serve.WriteJSON(w, http.StatusOK, fin)
 }
 
 func (g *Gateway) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
@@ -202,11 +183,11 @@ func (g *Gateway) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 		writeForwardError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, serve.SessionFinal{ID: id, Predictor: pred, Stats: wireSessionStats(st)})
+	serve.WriteJSON(w, http.StatusOK, serve.SessionFinal{ID: id, Predictor: pred, Stats: wireSessionStats(st)})
 }
 
 func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, g.Stats())
+	serve.WriteJSON(w, http.StatusOK, g.Stats())
 }
 
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -234,7 +215,7 @@ func (g *Gateway) liveBackends() int {
 }
 
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, healthReply{Status: "ok", BackendsLive: g.liveBackends()})
+	serve.WriteJSON(w, http.StatusOK, healthReply{Status: "ok", BackendsLive: g.liveBackends()})
 }
 
 func (g *Gateway) handleReadyz(w http.ResponseWriter, r *http.Request) {
@@ -245,31 +226,31 @@ func (g *Gateway) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusServiceUnavailable
 		state = "no live backends"
 	}
-	writeJSON(w, status, healthReply{Status: state, BackendsLive: live})
+	serve.WriteJSON(w, status, healthReply{Status: state, BackendsLive: live})
 }
 
 func (g *Gateway) handleBackendsGet(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, g.Stats().Backends)
+	serve.WriteJSON(w, http.StatusOK, g.Stats().Backends)
 }
 
 func (g *Gateway) handleBackendJoin(w http.ResponseWriter, r *http.Request) {
 	var b Backend
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&b); err != nil {
-		writeError(w, http.StatusBadRequest, serve.CodeBadRequest, "bad backend body: %v", err)
+		serve.WriteError(w, http.StatusBadRequest, serve.CodeBadRequest, "bad backend body: %v", err)
 		return
 	}
 	if err := g.AddBackend(b); err != nil {
-		writeError(w, http.StatusBadRequest, serve.CodeBadRequest, "%v", err)
+		serve.WriteError(w, http.StatusBadRequest, serve.CodeBadRequest, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, g.Stats().Backends)
+	serve.WriteJSON(w, http.StatusOK, g.Stats().Backends)
 }
 
 func (g *Gateway) handleBackendLeave(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if err := g.RemoveBackend(name); err != nil {
-		writeError(w, http.StatusNotFound, serve.CodeBadRequest, "%v", err)
+		serve.WriteError(w, http.StatusNotFound, serve.CodeBadRequest, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, g.Stats().Backends)
+	serve.WriteJSON(w, http.StatusOK, g.Stats().Backends)
 }

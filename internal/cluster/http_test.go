@@ -13,8 +13,9 @@ import (
 // TestGatewayPredictMatchesLlbpd posts the same predict bodies to the
 // gateway's HTTP frontend and straight to an llbpd, and requires the
 // same status and the same reply bytes: the two share one request parse
-// (serve.ReadPredict) and one reply encoder, so a client cannot tell
-// them apart on accepted batches or on any rejected one.
+// (serve.ReadPredict), one reply encoder and one error-envelope writer,
+// so a client cannot tell them apart on accepted batches, on any
+// rejected one, or on an error off the predict path.
 func TestGatewayPredictMatchesLlbpd(t *testing.T) {
 	dir := t.TempDir()
 	const maxBatch = 2
@@ -57,6 +58,34 @@ func TestGatewayPredictMatchesLlbpd(t *testing.T) {
 		}
 		if gs != ds || gct != dct || !bytes.Equal(gb, db) {
 			t.Errorf("body %s:\ngateway %d %s %s\nllbpd   %d %s %s", body, gs, gct, gb, ds, dct, db)
+		}
+	}
+
+	// Errors off the predict path come out of the same envelope writer.
+	for _, method := range []string{http.MethodGet, http.MethodDelete} {
+		do := func(base string) (int, string, []byte) {
+			req, err := http.NewRequest(method, base+"/v1/sessions/never-created", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			got, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return resp.StatusCode, resp.Header.Get("Content-Type"), got
+		}
+		gs, gct, gb := do(gw.URL)
+		ds, dct, db := do(direct.hts.URL)
+		if gs != http.StatusNotFound {
+			t.Fatalf("%s of an unknown session: status %d, want 404: %s", method, gs, gb)
+		}
+		if gs != ds || gct != dct || !bytes.Equal(gb, db) {
+			t.Errorf("%s of an unknown session:\ngateway %d %s %s\nllbpd   %d %s %s", method, gs, gct, gb, ds, dct, db)
 		}
 	}
 }

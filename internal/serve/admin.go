@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -37,14 +36,10 @@ func (s *Server) ExportSession(id string) ([]byte, error) {
 			return nil, fmt.Errorf("serve: predictor %q does not support snapshots: %w", sess.PredictorName, ErrBadRequest)
 		}
 		sess.mu.Lock()
-		var buf bytes.Buffer
-		err := snapshot.Save(&buf, sess.PredictorName, sessionState{sess})
+		blob := snapshot.Encode(sess.PredictorName, sessionState{sess})
 		sess.mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
 		s.metrics.sessionsExported.Inc()
-		return buf.Bytes(), nil
+		return blob, nil
 	}
 	// Not in memory: an evicted-to-disk checkpoint is still exportable
 	// (the gateway migrates cold sessions too, so their warm state follows
@@ -66,7 +61,7 @@ func (s *Server) ExportSession(id string) ([]byte, error) {
 // allocated.
 func (s *Server) decodeSessionBlob(id string, data []byte) (*Session, error) {
 	var sess *Session
-	_, _, err := snapshot.Load(bytes.NewReader(data), func(name string) (snapshot.State, error) {
+	_, _, err := snapshot.Decode(data, func(name string) (snapshot.State, error) {
 		ns, nerr := s.newSession(id, name, "", false)
 		if nerr != nil {
 			return nil, nerr
@@ -158,11 +153,11 @@ func (s *Server) handleSessionExport(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrSessionNotFound):
-			writeError(w, http.StatusNotFound, CodeSessionNotFound, "%v", err)
+			WriteError(w, http.StatusNotFound, CodeSessionNotFound, "%v", err)
 		case errors.Is(err, ErrBadRequest):
-			writeError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
+			WriteError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
 		default:
-			writeError(w, http.StatusInternalServerError, CodeInternal, "%v", err)
+			WriteError(w, http.StatusInternalServerError, CodeInternal, "%v", err)
 		}
 		return
 	}
@@ -179,7 +174,7 @@ func (s *Server) handleSessionImport(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "reading checkpoint body: %v", err)
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, "reading checkpoint body: %v", err)
 		return
 	}
 	// Replicating gateways stamp the session's fence epoch into the
@@ -187,7 +182,7 @@ func (s *Server) handleSessionImport(w http.ResponseWriter, r *http.Request) {
 	var epoch uint64
 	if h := r.Header.Get("X-LLBP-Epoch"); h != "" {
 		if epoch, err = strconv.ParseUint(h, 10, 64); err != nil {
-			writeError(w, http.StatusBadRequest, CodeBadRequest, "bad X-LLBP-Epoch %q: %v", h, err)
+			WriteError(w, http.StatusBadRequest, CodeBadRequest, "bad X-LLBP-Epoch %q: %v", h, err)
 			return
 		}
 	}
@@ -195,15 +190,15 @@ func (s *Server) handleSessionImport(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrStaleEpoch):
-			writeError(w, http.StatusConflict, CodeStaleEpoch, "%v", err)
+			WriteError(w, http.StatusConflict, CodeStaleEpoch, "%v", err)
 		case errors.Is(err, ErrSnapshotCorrupt):
-			writeError(w, http.StatusUnprocessableEntity, CodeSnapshotCorrupt, "%v", err)
+			WriteError(w, http.StatusUnprocessableEntity, CodeSnapshotCorrupt, "%v", err)
 		case errors.Is(err, ErrUnknownPredictor):
-			writeError(w, http.StatusBadRequest, CodeUnknownPredictor, "%v", err)
+			WriteError(w, http.StatusBadRequest, CodeUnknownPredictor, "%v", err)
 		default:
-			writeError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
+			WriteError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
 		}
 		return
 	}
-	writeJSON(w, http.StatusOK, fin)
+	WriteJSON(w, http.StatusOK, fin)
 }

@@ -89,7 +89,7 @@ type PredictResponse struct {
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	defer func() {
 		if p := recover(); p != nil {
-			writeError(w, http.StatusInternalServerError, CodeInternal, "internal error: %v", p)
+			WriteError(w, http.StatusInternalServerError, CodeInternal, "internal error: %v", p)
 		}
 	}()
 	s.mux.ServeHTTP(w, r)
@@ -122,16 +122,19 @@ func (s *Server) buildMux() *http.ServeMux {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as the JSON body of a reply with the given status.
+// The gateway writes its replies through it too, so a client sees the
+// same bytes from either.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// writeError emits the versioned error envelope: a stable machine-readable
+// WriteError emits the versioned error envelope: a stable machine-readable
 // code plus a free-form message.
-func writeError(w http.ResponseWriter, status int, code, format string, args ...any) {
-	writeJSON(w, status, errorReply{Error: errorBody{Code: code, Message: fmt.Sprintf(format, args...)}})
+func WriteError(w http.ResponseWriter, status int, code, format string, args ...any) {
+	WriteJSON(w, status, errorReply{Error: errorBody{Code: code, Message: fmt.Sprintf(format, args...)}})
 }
 
 // Handlers -----------------------------------------------------------------
@@ -140,7 +143,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	call, aerr := ReadPredict(w, r, s.cfg.MaxBatch)
 	if aerr != nil {
-		writeError(w, aerr.Status, aerr.Code, "%s", aerr.Message)
+		WriteError(w, aerr.Status, aerr.Code, "%s", aerr.Message)
 		return
 	}
 	defer call.Release()
@@ -148,7 +151,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// Fault site: fires before any state is touched, so an injected
 	// failure is reported as a retryable 503 — the batch was not applied.
 	if ferr := s.cfg.Faults.Fire(FaultPredict); ferr != nil {
-		writeError(w, http.StatusServiceUnavailable, CodeInternal, "injected fault: %v", ferr)
+		WriteError(w, http.StatusServiceUnavailable, CodeInternal, "injected fault: %v", ferr)
 		return
 	}
 
@@ -156,7 +159,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// is never dropped part-way.
 	if !s.beginBatch() {
 		s.metrics.rejected.Inc()
-		writeError(w, http.StatusServiceUnavailable, CodeDraining, "server is draining")
+		WriteError(w, http.StatusServiceUnavailable, CodeDraining, "server is draining")
 		return
 	}
 	defer s.endBatch()
@@ -165,11 +168,11 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrPredictorConflict):
-			writeError(w, http.StatusConflict, CodePredictorConflict, "%v", err)
+			WriteError(w, http.StatusConflict, CodePredictorConflict, "%v", err)
 		case errors.Is(err, ErrUnknownPredictor):
-			writeError(w, http.StatusBadRequest, CodeUnknownPredictor, "%v", err)
+			WriteError(w, http.StatusBadRequest, CodeUnknownPredictor, "%v", err)
 		default:
-			writeError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
+			WriteError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
 		}
 		return
 	}
@@ -188,7 +191,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(aerr, ErrOverloaded) {
 			s.metrics.shed.Inc()
 			w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.AdmitTimeout))
-			writeError(w, http.StatusTooManyRequests, CodeOverloaded,
+			WriteError(w, http.StatusTooManyRequests, CodeOverloaded,
 				"no worker slot within %v (%d executing); batch shed, retry safe",
 				s.cfg.AdmitTimeout, len(s.pool))
 			return
@@ -223,10 +226,10 @@ func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	sess := s.sessions.get(id)
 	if sess == nil {
-		writeError(w, http.StatusNotFound, CodeSessionNotFound, "no session %q", id)
+		WriteError(w, http.StatusNotFound, CodeSessionNotFound, "no session %q", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, sess.final())
+	WriteJSON(w, http.StatusOK, sess.final())
 }
 
 // handleSessionChooser is GET /v1/sessions/{id}/chooser: the tournament
@@ -237,35 +240,35 @@ func (s *Server) handleSessionChooser(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	sess := s.sessions.get(id)
 	if sess == nil {
-		writeError(w, http.StatusNotFound, CodeSessionNotFound, "no session %q", id)
+		WriteError(w, http.StatusNotFound, CodeSessionNotFound, "no session %q", id)
 		return
 	}
 	cp, ok := sess.pred.(interface {
 		ChooserStats() tournament.ChooserStats
 	})
 	if !ok {
-		writeError(w, http.StatusBadRequest, CodeBadRequest,
+		WriteError(w, http.StatusBadRequest, CodeBadRequest,
 			"session %q predictor %q has no chooser (not a tournament)", id, sess.PredictorName)
 		return
 	}
 	sess.mu.Lock()
 	cs := cp.ChooserStats()
 	sess.mu.Unlock()
-	writeJSON(w, http.StatusOK, cs)
+	WriteJSON(w, http.StatusOK, cs)
 }
 
 func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	fin, ok := s.CloseSession(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, CodeSessionNotFound, "no session %q", id)
+		WriteError(w, http.StatusNotFound, CodeSessionNotFound, "no session %q", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, fin)
+	WriteJSON(w, http.StatusOK, fin)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
+	WriteJSON(w, http.StatusOK, s.Stats())
 }
 
 // predictorsReply is the GET /v1/predictors body.
@@ -274,7 +277,7 @@ type predictorsReply struct {
 }
 
 func (s *Server) handlePredictors(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, predictorsReply{Predictors: Predictors()})
+	WriteJSON(w, http.StatusOK, predictorsReply{Predictors: Predictors()})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -48,7 +48,7 @@ func (s *Server) healthReply() HealthReply {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.healthReply())
+	WriteJSON(w, http.StatusOK, s.healthReply())
 }
 
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
@@ -57,7 +57,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if rep.Draining {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, rep)
+	WriteJSON(w, status, rep)
 }
 
 // retryAfterSeconds renders a Retry-After header value for a shed batch:

@@ -224,11 +224,11 @@ func (s *Server) handleReplicaTarget(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var req replicaTargetRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "bad replica target body: %v", err)
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, "bad replica target body: %v", err)
 		return
 	}
 	s.SetReplicaTarget(id, req.StandbyURL, req.Epoch)
-	writeJSON(w, http.StatusOK, replicaReply{Session: id, Epoch: req.Epoch})
+	WriteJSON(w, http.StatusOK, replicaReply{Session: id, Epoch: req.Epoch})
 }
 
 // handleStandbyInstall is POST /admin/v1/sessions/{id}/standby: the body
@@ -239,23 +239,23 @@ func (s *Server) handleStandbyInstall(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "reading replica blob: %v", err)
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, "reading replica blob: %v", err)
 		return
 	}
 	if err := s.InstallStandby(id, data); err != nil {
 		switch {
 		case errors.Is(err, ErrStaleEpoch):
-			writeError(w, http.StatusConflict, CodeStaleEpoch, "%v", err)
+			WriteError(w, http.StatusConflict, CodeStaleEpoch, "%v", err)
 		case errors.Is(err, ErrSnapshotCorrupt):
-			writeError(w, http.StatusUnprocessableEntity, CodeSnapshotCorrupt, "%v", err)
+			WriteError(w, http.StatusUnprocessableEntity, CodeSnapshotCorrupt, "%v", err)
 		case errors.Is(err, ErrUnknownPredictor):
-			writeError(w, http.StatusBadRequest, CodeUnknownPredictor, "%v", err)
+			WriteError(w, http.StatusBadRequest, CodeUnknownPredictor, "%v", err)
 		default:
-			writeError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
+			WriteError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
 		}
 		return
 	}
-	writeJSON(w, http.StatusOK, replicaReply{Session: id})
+	WriteJSON(w, http.StatusOK, replicaReply{Session: id})
 }
 
 // promoteRequest is POST /admin/v1/sessions/{id}/promote.
@@ -267,25 +267,25 @@ func (s *Server) handleStandbyPromote(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var req promoteRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "bad promote body: %v", err)
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, "bad promote body: %v", err)
 		return
 	}
 	fin, err := s.PromoteStandby(id, req.Epoch)
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrStaleEpoch):
-			writeError(w, http.StatusConflict, CodeStaleEpoch, "%v", err)
+			WriteError(w, http.StatusConflict, CodeStaleEpoch, "%v", err)
 		case errors.Is(err, ErrSessionNotFound):
-			writeError(w, http.StatusNotFound, CodeSessionNotFound, "%v", err)
+			WriteError(w, http.StatusNotFound, CodeSessionNotFound, "%v", err)
 		default:
-			writeError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
+			WriteError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
 		}
 		return
 	}
-	writeJSON(w, http.StatusOK, fin)
+	WriteJSON(w, http.StatusOK, fin)
 }
 
 func (s *Server) handleStandbyDrop(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	writeJSON(w, http.StatusOK, replicaReply{Session: id, Dropped: s.DropStandby(id)})
+	WriteJSON(w, http.StatusOK, replicaReply{Session: id, Dropped: s.DropStandby(id)})
 }

@@ -178,7 +178,7 @@ func TestClientRetriesTransportError(t *testing.T) {
 			conn.Close() // die before a single response byte
 			return
 		}
-		writeJSON(w, http.StatusOK, SessionFinal{ID: "x", Predictor: "tsl-8k"})
+		WriteJSON(w, http.StatusOK, SessionFinal{ID: "x", Predictor: "tsl-8k"})
 	}))
 	t.Cleanup(hs.Close)
 
@@ -221,10 +221,10 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if calls.Add(1) == 1 {
 			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, CodeOverloaded, "busy")
+			WriteError(w, http.StatusTooManyRequests, CodeOverloaded, "busy")
 			return
 		}
-		writeJSON(w, http.StatusOK, SessionFinal{ID: "x"})
+		WriteJSON(w, http.StatusOK, SessionFinal{ID: "x"})
 	}))
 	t.Cleanup(hs.Close)
 

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"strings"
 	"time"
@@ -133,13 +132,9 @@ func (s *Server) freezeSession(sess *Session) {
 		sess.mu.Unlock()
 		return
 	}
-	var body bytes.Buffer
-	err = snapshot.Save(&body, sess.PredictorName, sess.pred.(snapshot.State))
+	body := snapshot.Encode(sess.PredictorName, sess.pred.(snapshot.State))
 	sess.mu.Unlock()
-	if err != nil {
-		return
-	}
-	s.store.Freeze(poolKey(sess.ID), sess.Fingerprint, hdr, body.Bytes())
+	s.store.Freeze(poolKey(sess.ID), sess.Fingerprint, hdr, body)
 }
 
 // thawSession rebuilds a session from the pool's frozen tier. want is the
@@ -169,7 +164,7 @@ func (s *Server) thawSession(id, want string) (*Session, bool) {
 		s.releaseSessionStore(sess)
 		return nil, false
 	}
-	if _, _, err := snapshot.Load(bytes.NewReader(body), func(string) (snapshot.State, error) {
+	if _, _, err := snapshot.Decode(body, func(string) (snapshot.State, error) {
 		return st, nil
 	}); err != nil {
 		s.releaseSessionStore(sess)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"llbpx"
+	"llbpx/internal/snapshot"
 )
 
 // fuzzBranches lazily builds one deterministic branch stream shared by
@@ -83,4 +84,29 @@ func FuzzSnapshotDecode(f *testing.F) {
 		// A successful decode must hand back a working predictor.
 		drive(p, fuzzBranches(), 256)
 	})
+}
+
+// TestLoadPrefixVerdictsMatchReference cuts a real llbp-x snapshot at
+// every prefix through its first KB (header and first components) and
+// its last 256 bytes (last components and trailer), and at every 127th
+// byte across the rest, and requires Load's verdict on each to be the
+// byte-at-a-time reference decoder's. Every prefix of the ~120 KB blob
+// would cost minutes of quadratic decoding; the stride is prime, so it
+// lands at every phase of the varint and component structure.
+func TestLoadPrefixVerdictsMatchReference(t *testing.T) {
+	blob := warmSnapshot(t, "llbp-x")
+	const head, tail, stride = 1024, 256, 127
+	var prefixes []int
+	for k := 0; k <= len(blob); k++ {
+		if k < head || k >= len(blob)-tail || k%stride == 0 {
+			prefixes = append(prefixes, k)
+		}
+	}
+	snapshot.CheckPrefixVerdicts(t, blob, func(name string) (snapshot.State, error) {
+		p, err := llbpx.NewPredictorByName(name)
+		if err != nil {
+			return nil, err
+		}
+		return p.(snapshot.State), nil
+	}, prefixes)
 }

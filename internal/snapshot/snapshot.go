@@ -18,13 +18,15 @@
 package snapshot
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
 )
 
 // ErrCorrupt is wrapped by every decode failure, letting callers
@@ -54,42 +56,65 @@ type State interface {
 	LoadState(r *Reader)
 }
 
-// Save writes a complete snapshot of s, identified by the registry name,
-// to w.
-func Save(w io.Writer, name string, s State) error {
-	bw := bufio.NewWriter(w)
-	if _, err := io.WriteString(bw, magic); err != nil {
-		return err
-	}
-	sw := NewWriter(bw)
-	sw.U64(Version)
-	sw.String(name)
-	s.SaveState(sw)
-	if err := sw.Err(); err != nil {
-		return err
-	}
-	var trailer [4]byte
-	binary.LittleEndian.PutUint32(trailer[:], sw.CRC())
-	if _, err := bw.Write(trailer[:]); err != nil {
-		return err
-	}
-	return bw.Flush()
+// writerPool recycles the scratch Writers that Save uses and drops. A
+// blob handed to a caller (Encode) is always a fresh copy, so no pooled
+// buffer outlives the call that borrowed it.
+var writerPool = sync.Pool{New: func() any { return new(Writer) }}
+
+// maxPooledBuf caps the buffer a pooled Writer keeps, so one outsized
+// snapshot does not pin its buffer for the life of the process.
+const maxPooledBuf = 4 << 20
+
+// encoded borrows a pooled Writer holding a complete snapshot of s:
+// magic, the CRC-covered body, and the CRC-32C trailer computed in one
+// pass. The caller must hand the Writer back with release.
+func encoded(name string, s State) *Writer {
+	w := writerPool.Get().(*Writer)
+	w.buf = append(w.buf[:0], magic...)
+	w.U64(Version)
+	w.String(name)
+	s.SaveState(w)
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, crc32.Checksum(w.buf[len(magic):], castagnoli))
+	return w
 }
 
-// Load reads one snapshot from r. construct receives the predictor name
-// stored in the header and must return a cold State of that configuration
-// (or an error, e.g. for an unknown name); the payload is then decoded
-// into it. The State is returned only if the full payload decoded and the
-// trailing CRC matched — on any failure the partially loaded instance is
-// discarded, so a corrupt snapshot can never yield a silently-wrong
-// predictor.
-func Load(r io.Reader, construct func(name string) (State, error)) (State, string, error) {
-	br := bufio.NewReader(r)
-	var m [len(magic)]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil || string(m[:]) != magic {
+func (w *Writer) release() {
+	if cap(w.buf) > maxPooledBuf {
+		w.buf = nil
+	}
+	writerPool.Put(w)
+}
+
+// Save writes a complete snapshot of s, identified by the registry name,
+// to w in a single Write call.
+func Save(w io.Writer, name string, s State) error {
+	sw := encoded(name, s)
+	defer sw.release()
+	_, err := w.Write(sw.buf)
+	return err
+}
+
+// Encode returns a complete snapshot of s, identified by the registry
+// name, as a fresh slice owned by the caller.
+func Encode(name string, s State) []byte {
+	sw := encoded(name, s)
+	defer sw.release()
+	return bytes.Clone(sw.buf)
+}
+
+// Decode decodes one snapshot held in data. construct receives the
+// predictor name stored in the header and must return a cold State of
+// that configuration (or an error, e.g. for an unknown name); the payload
+// is then decoded into it. The State is returned only if the full payload
+// decoded and the trailing CRC matched — on any failure the partially
+// loaded instance is discarded, so a corrupt snapshot can never yield a
+// silently-wrong predictor. Bytes after the trailer are ignored. Decode
+// copies what it keeps, so data may be reused once it returns.
+func Decode(data []byte, construct func(name string) (State, error)) (State, string, error) {
+	if len(data) < len(magic) || string(data[:len(magic)]) != magic {
 		return nil, "", fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	sr := NewReader(br)
+	sr := NewReader(data[len(magic):])
 	if v := sr.U64(); sr.Err() == nil && v != Version {
 		return nil, "", fmt.Errorf("%w: version %d, want %d", ErrCorrupt, v, Version)
 	}
@@ -105,14 +130,29 @@ func Load(r io.Reader, construct func(name string) (State, error)) (State, strin
 	if err := sr.Err(); err != nil {
 		return nil, name, err
 	}
-	var trailer [4]byte
-	if _, err := io.ReadFull(br, trailer[:]); err != nil {
+	body, rest := sr.in[:sr.offset()], sr.in[sr.offset():]
+	if len(rest) < 4 {
 		return nil, name, fmt.Errorf("%w: missing checksum", ErrCorrupt)
 	}
-	if got := binary.LittleEndian.Uint32(trailer[:]); got != sr.CRC() {
+	if binary.LittleEndian.Uint32(rest) != crc32.Checksum(body, castagnoli) {
 		return nil, name, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
 	return s, name, nil
+}
+
+// Load reads r to EOF and decodes the snapshot it holds (see Decode).
+// Everything after the trailer is read and ignored, so one stream cannot
+// carry consecutive snapshots — nor could it when Load read through a
+// buffer that consumed up to 4 KB past the trailer. A read error ends the
+// data where it occurred, exactly like truncation: the verdict is
+// ErrCorrupt unless a complete snapshot arrived before it.
+func Load(r io.Reader, construct func(name string) (State, error)) (State, string, error) {
+	var b bytes.Buffer
+	if l, ok := r.(interface{ Len() int }); ok {
+		b.Grow(l.Len() + bytes.MinRead)
+	}
+	_, _ = b.ReadFrom(r) // a read error ends the data, as documented above
+	return Decode(b.Bytes(), construct)
 }
 
 // WriteFile saves a snapshot crash-consistently: the bytes land in a temp
@@ -124,8 +164,8 @@ func WriteFile(path, name string, s State) error {
 }
 
 // WriteFileWrapped is WriteFile with an interception point for fault
-// injection: when wrap is non-nil, the encoded byte stream passes through
-// wrap(tempFile) on its way to disk, letting a test inject torn or
+// injection: when wrap is non-nil, the encoded snapshot passes through
+// wrap(tempFile) in one Write on its way to disk, letting a test inject torn or
 // partial writes underneath the crash-consistency machinery (the CRC and
 // the loader's quarantine handling are what must catch the damage). A nil
 // wrap is exactly WriteFile.
@@ -166,14 +206,14 @@ func WriteFileWrapped(path, name string, s State, wrap func(io.Writer) io.Writer
 	return nil
 }
 
-// ReadFile loads a snapshot from path via Load. A missing file surfaces
-// as an os error (not ErrCorrupt), so callers can stay quiet about the
-// common cold-start case.
+// ReadFile loads a snapshot from path, reading the file in one call and
+// decoding it with Decode. A missing or unreadable file surfaces as an
+// os error (not ErrCorrupt), so callers can stay quiet about the common
+// cold-start case.
 func ReadFile(path string, construct func(name string) (State, error)) (State, string, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, "", err
 	}
-	defer f.Close()
-	return Load(f, construct)
+	return Decode(data, construct)
 }

@@ -136,51 +136,80 @@ func TestLoadPropagatesConstructError(t *testing.T) {
 	}
 }
 
+// TestMarkerMismatch: the right marker decodes and the value behind it
+// reads back (the positive control), and a wrong one fails with
+// ErrCorrupt at the marker.
 func TestMarkerMismatch(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	var w Writer
 	w.Marker("alpha")
 	w.U64(3)
-	if w.Err() != nil {
-		t.Fatal(w.Err())
+
+	r := NewReader(w.buf)
+	r.Marker("alpha")
+	if v := r.U64(); r.Err() != nil || v != 3 {
+		t.Fatalf("right marker: value %d, err %v; want 3, nil", v, r.Err())
 	}
-	r := NewReader(bytes.NewReader(buf.Bytes()))
+
+	r = NewReader(w.buf)
 	r.Marker("beta")
 	if err := r.Err(); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("marker mismatch: err = %v, want ErrCorrupt", err)
 	}
 }
 
+// TestReaderBounds checks each bounded read twice over the same bytes:
+// with a bound the value meets, where it must decode to what was written
+// (so the failing case below cannot pass on an empty or misread buffer),
+// and with a bound it breaks, where it must fail with ErrCorrupt.
 func TestReaderBounds(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.U64(1000)
-	r := NewReader(bytes.NewReader(buf.Bytes()))
+	encode := func(put func(w *Writer)) []byte {
+		var w Writer
+		put(&w)
+		return w.buf
+	}
+
+	data := encode(func(w *Writer) { w.U64(1000) })
+	var r *Reader
+	if r := NewReader(data); r.U64Max(1000) != 1000 || r.Err() != nil {
+		t.Fatalf("U64Max in bound: err = %v", r.Err())
+	}
+	r = NewReader(data)
 	if r.U64Max(999); !errors.Is(r.Err(), ErrCorrupt) {
 		t.Fatalf("U64Max: err = %v", r.Err())
 	}
 
-	buf.Reset()
-	w = NewWriter(&buf)
-	w.I64(-5)
-	r = NewReader(bytes.NewReader(buf.Bytes()))
+	data = encode(func(w *Writer) { w.I64(-5) })
+	if r := NewReader(data); r.I64In(-5, 10) != -5 || r.Err() != nil {
+		t.Fatalf("I64In in bound: err = %v", r.Err())
+	}
+	r = NewReader(data)
 	if r.I64In(0, 10); !errors.Is(r.Err(), ErrCorrupt) {
 		t.Fatalf("I64In: err = %v", r.Err())
 	}
 
-	buf.Reset()
-	w = NewWriter(&buf)
-	w.U64(2)
-	r = NewReader(bytes.NewReader(buf.Bytes()))
+	data = encode(func(w *Writer) { w.U64(1) })
+	if r := NewReader(data); !r.Bool() || r.Err() != nil {
+		t.Fatalf("Bool(1): err = %v", r.Err())
+	}
+	data = encode(func(w *Writer) { w.U64(2) })
+	if r := NewReader(data); r.U64Max(2) != 2 || r.Err() != nil {
+		t.Fatalf("U64Max(2) control: err = %v", r.Err())
+	}
+	r = NewReader(data)
 	if r.Bool(); !errors.Is(r.Err(), ErrCorrupt) {
 		t.Fatalf("Bool(2): err = %v", r.Err())
 	}
 
 	// A huge length prefix must fail at the cap, not allocate.
-	buf.Reset()
-	w = NewWriter(&buf)
-	w.U64(1 << 40)
-	r = NewReader(bytes.NewReader(buf.Bytes()))
+	data = encode(func(w *Writer) { w.Bytes([]byte("in bound")) })
+	if r := NewReader(data); string(r.Bytes(1<<10)) != "in bound" || r.Err() != nil {
+		t.Fatalf("Bytes in bound: err = %v", r.Err())
+	}
+	data = encode(func(w *Writer) { w.U64(1 << 40) })
+	if r := NewReader(data); r.U64() != 1<<40 || r.Err() != nil {
+		t.Fatalf("length prefix control: err = %v", r.Err())
+	}
+	r = NewReader(data)
 	if r.Bytes(1 << 10); !errors.Is(r.Err(), ErrCorrupt) {
 		t.Fatalf("Bytes bomb: err = %v", r.Err())
 	}

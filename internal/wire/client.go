@@ -176,13 +176,17 @@ func (c *Client) getConn(ctx context.Context) (*clientConn, error) {
 	return cc, nil
 }
 
-// call is one in-flight request/response exchange. The response payload
-// is copied into the call's own buffer (reused across calls) so the
-// connection's read buffer can be overwritten by the next frame.
+// call is one in-flight request/response exchange. The request frame is
+// encoded into req, which only the sending goroutine touches; the
+// response payload is copied into resp, which the reader owns from
+// registration until done closes. Both buffers are reused across calls,
+// and keeping them apart lets a reply land while its request is still
+// being written.
 type call struct {
 	seq  uint64
 	done chan struct{}
 	typ  byte
+	req  []byte
 	resp []byte
 	err  error
 }
@@ -239,14 +243,13 @@ func (cc *clientConn) send(cl *call, enc func(dst []byte, seq uint64) []byte) er
 	seq := cc.nextSeq
 	cc.mu.Unlock()
 
-	// Encode into the call's buffer (reused for the response later) and
-	// only then register: once the call is in pending, the reader owns
-	// cl.resp the moment a response lands.
+	// Encode, then register: once the call is in pending, the reader owns
+	// cl.resp (never cl.req) the moment a response lands.
 	cl.seq = seq
 	cl.typ, cl.err = 0, nil
 	cl.done = make(chan struct{})
-	cl.resp = enc(cl.resp[:0], seq)
-	frame := cl.resp
+	cl.req = enc(cl.req[:0], seq)
+	frame := cl.req
 
 	cc.mu.Lock()
 	if cc.err != nil {

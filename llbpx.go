@@ -21,7 +21,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
 
 	"llbpx/internal/analyze"
 	"llbpx/internal/btb"
@@ -251,19 +250,27 @@ func SavePredictorState(w io.Writer, name string, p Predictor) error {
 // SavePredictorState. The restored instance produces bit-identical
 // predictions and statistics to the one that was saved. Corrupt or
 // version-incompatible bytes return an error wrapping snapshot.ErrCorrupt;
-// callers should treat that as "start cold", never as fatal.
+// callers should treat that as "start cold", never as fatal. r is read
+// to EOF; bytes after the snapshot are ignored.
 func LoadPredictorState(r io.Reader) (Predictor, string, error) {
-	st, name, err := snapshot.Load(r, func(name string) (snapshot.State, error) {
-		p, err := serve.NewPredictor(name)
-		if err != nil {
-			return nil, err
-		}
-		s, ok := p.(snapshot.State)
-		if !ok {
-			return nil, fmt.Errorf("predictor %q does not support snapshots", name)
-		}
-		return s, nil
-	})
+	return loadedPredictor(snapshot.Load(r, constructSnapshotted))
+}
+
+// constructSnapshotted builds the cold predictor a snapshot's header
+// names, for the decoder to fill.
+func constructSnapshotted(name string) (snapshot.State, error) {
+	p, err := serve.NewPredictor(name)
+	if err != nil {
+		return nil, err
+	}
+	s, ok := p.(snapshot.State)
+	if !ok {
+		return nil, fmt.Errorf("predictor %q does not support snapshots", name)
+	}
+	return s, nil
+}
+
+func loadedPredictor(st snapshot.State, name string, err error) (Predictor, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
@@ -282,12 +289,7 @@ func SavePredictorFile(path, name string, p Predictor) error {
 
 // LoadPredictorFile restores a predictor from a snapshot file.
 func LoadPredictorFile(path string) (Predictor, string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, "", err
-	}
-	defer f.Close()
-	return LoadPredictorState(f)
+	return loadedPredictor(snapshot.ReadFile(path, constructSnapshotted))
 }
 
 // ErrSnapshotCorrupt is the sentinel wrapped by every snapshot decode
