@@ -31,12 +31,11 @@ type Predictor struct {
 	tsl  *tage.Predictor
 	bank *tage.TagBank
 	rcr  llbp.RCR
-	// D-delayed ContextID(0, w) lines serving the skip-D context IDs, one
-	// per window width.
-	shallowDelay, deepDelay llbp.CtxDelay
-	cd                      *llbp.ContextDir
-	pb                      *llbp.PatternBuffer
-	ctt                     *CTT
+	// D-delayed ContextID(0, WShallow) line serving the skip-D shallow ID.
+	shallowDelay llbp.CtxDelay
+	cd           *llbp.ContextDir
+	pb           *llbp.PatternBuffer
+	ctt          *CTT
 
 	shallowLens []int
 	deepLens    []int
@@ -51,6 +50,10 @@ type Predictor struct {
 	pcidShallow, pcidDeep uint64
 	pcid                  uint64
 	prevPCID              uint64
+	// The deep IDs are hashed from the RCR only when read (see deepIDs);
+	// ccidDeep and pcidDeep hold them until the first push after
+	// construction or a restore, and deepFromRCR is set from that push on.
+	deepFromRCR bool
 	// pcidRing remembers recent distinct prefetch contexts; the false-path
 	// model re-requests evicted ones (reconvergent wrong paths revisit
 	// recently active contexts).
@@ -108,7 +111,6 @@ func New(cfg Config) (*Predictor, error) {
 		shallowLens:  cfg.shallowLens(),
 		deepLens:     cfg.deepLens(),
 		shallowDelay: llbp.NewCtxDelay(cfg.Base.D, cfg.WShallow),
-		deepDelay:    llbp.NewCtxDelay(cfg.Base.D, cfg.WDeep),
 		deepHistory:  make(map[uint64]bool),
 	}
 	p.cd = llbp.NewContextDir(&p.cfg.Base)
@@ -404,19 +406,18 @@ func (p *Predictor) TrackUnconditional(b core.Branch) {
 	p.tick++
 
 	p.rcr.Push(b.PC)
+	p.deepFromRCR = true
 	p.pcidShallow = p.rcr.ContextID(0, p.cfg.WShallow)
-	p.pcidDeep = p.rcr.ContextID(0, p.cfg.WDeep)
 	p.ccidShallow = p.shallowDelay.Shift(p.pcidShallow)
-	p.ccidDeep = p.deepDelay.Shift(p.pcidDeep)
 	p.ccidDeepSelected = p.isDeep(p.ccidShallow)
 	if p.ccidDeepSelected {
-		p.ccid = p.ccidDeep
+		p.ccid = p.rcr.ContextID(p.cfg.Base.D, p.cfg.WDeep)
 	} else {
 		p.ccid = p.ccidShallow
 	}
 	newPCID := p.pcidShallow
 	if p.isDeep(p.pcidShallow) {
-		newPCID = p.pcidDeep
+		newPCID = p.rcr.ContextID(0, p.cfg.WDeep)
 	}
 	if newPCID != p.pcid {
 		p.prevPCID = p.pcid
@@ -425,6 +426,17 @@ func (p *Predictor) TrackUnconditional(b core.Branch) {
 		p.ringPos = (p.ringPos + 1) % len(p.pcidRing)
 		p.prefetch(newPCID, false)
 	}
+}
+
+// deepIDs returns the current deep prefetch and skip-D context IDs. Deep
+// contexts are selected for few branches, so the 64-wide hashes are formed
+// when read rather than on every push; ContextID(D, WDeep) is exact
+// because D+WDeep <= MaxRCRDepth keeps the window in the register.
+func (p *Predictor) deepIDs() (pcid, ccid uint64) {
+	if !p.deepFromRCR {
+		return p.pcidDeep, p.ccidDeep
+	}
+	return p.rcr.ContextID(0, p.cfg.WDeep), p.rcr.ContextID(p.cfg.Base.D, p.cfg.WDeep)
 }
 
 // RunBatch implements core.BatchPredictor: the canonical per-branch loop

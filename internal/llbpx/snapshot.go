@@ -61,13 +61,14 @@ func (p *Predictor) SaveState(w *snapshot.Writer) {
 	p.cd.SaveState(w)
 	p.pb.SaveState(w)
 	p.ctt.saveState(w)
+	pcidDeep, ccidDeep := p.deepIDs()
 	w.I64(p.tick)
 	w.U64(p.ccidShallow)
-	w.U64(p.ccidDeep)
+	w.U64(ccidDeep)
 	w.U64(p.ccid)
 	w.Bool(p.ccidDeepSelected)
 	w.U64(p.pcidShallow)
-	w.U64(p.pcidDeep)
+	w.U64(pcidDeep)
 	w.U64(p.pcid)
 	w.U64(p.prevPCID)
 	for _, v := range p.pcidRing {
@@ -113,7 +114,6 @@ func (p *Predictor) LoadState(r *snapshot.Reader) {
 	p.bank.LoadState(r)
 	p.rcr.LoadState(r)
 	p.shallowDelay.Rebuild(&p.rcr, p.cfg.Base.D, p.cfg.WShallow)
-	p.deepDelay.Rebuild(&p.rcr, p.cfg.Base.D, p.cfg.WDeep)
 	p.cd.LoadState(r)
 	p.pb.LoadState(r, p.cd.Lookup)
 	p.ctt.loadState(r)

@@ -2,10 +2,17 @@ package snapshot_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
 	"llbpx"
+	"llbpx/internal/hashutil"
 	"llbpx/internal/snapshot"
 )
 
@@ -73,6 +80,9 @@ func FuzzSnapshotDecode(f *testing.F) {
 		}
 		f.Add(valid[:len(valid)/3])
 	}
+	for _, blob := range aliasedFoldBlobs(f) {
+		f.Add(blob)
+	}
 	f.Add([]byte{})
 	f.Add([]byte("LLBPSNAP"))
 
@@ -84,6 +94,81 @@ func FuzzSnapshotDecode(f *testing.F) {
 		// A successful decode must hand back a working predictor.
 		drive(p, fuzzBranches(), 256)
 	})
+}
+
+// coldFoldBlob returns a cold llbp-x snapshot, in which every history fold
+// is a one-byte zero, and a function that sets the byte at an offset and
+// re-checksums the copy it returns. tables is the offset of table 0's index
+// fold (the 63 folds before the "tage.tables" marker run table by table:
+// index, first tag, second tag); bank that of table 0's first bank fold
+// (the 42 after the "tage.tagbank" marker run table by table: first,
+// second).
+func coldFoldBlob(tb testing.TB) (tables, bank int, set func(vals map[int]byte) []byte) {
+	tb.Helper()
+	p, err := llbpx.NewPredictorByName("llbp-x")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := llbpx.SavePredictorState(&buf, "llbp-x", p); err != nil {
+		tb.Fatal(err)
+	}
+	cold := buf.Bytes()
+	marker := func(name string) []byte {
+		return binary.AppendUvarint(nil, uint64(uint32(hashutil.FNV1a(name))))
+	}
+	tables = bytes.Index(cold, marker("tage.tables")) - 63
+	bank = bytes.Index(cold, marker("tage.tagbank")) + len(marker("tage.tagbank"))
+	if tables < 0 || bank < len(marker("tage.tagbank")) ||
+		bytes.Count(cold[tables:tables+63], []byte{0}) != 63 || bytes.Count(cold[bank:bank+42], []byte{0}) != 42 {
+		tb.Fatal("cold llbp-x snapshot does not have the expected fold layout")
+	}
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	set = func(vals map[int]byte) []byte {
+		b := bytes.Clone(cold)
+		for off, v := range vals {
+			b[off] = v
+		}
+		binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.Checksum(b[8:len(b)-4], castagnoli))
+		return b
+	}
+	return tables, bank, set
+}
+
+// aliasedFoldBlobs returns well-checksummed llbp-x snapshots in which a
+// fold sharing its register with an earlier fold of the same table
+// disagrees with it: table 0's first tag fold (tsl-64k's 10-bit index
+// fold) and table 10's first bank fold (its 13-bit first tag fold).
+func aliasedFoldBlobs(tb testing.TB) [][]byte {
+	tables, bank, set := coldFoldBlob(tb)
+	return [][]byte{set(map[int]byte{tables + 1: 1}), set(map[int]byte{bank + 2*10: 1})}
+}
+
+// TestAliasedFoldsDisagreeIsCorrupt requires a snapshot whose folds of
+// equal width on one table disagree to fail as corrupt, while the same
+// edits made consistently, or to a fold with a register of its own,
+// decode.
+func TestAliasedFoldsDisagreeIsCorrupt(t *testing.T) {
+	for i, blob := range aliasedFoldBlobs(t) {
+		_, _, err := llbpx.LoadPredictorState(bytes.NewReader(blob))
+		if !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), "disagree") {
+			t.Errorf("blob %d: err = %v, want ErrCorrupt for disagreeing folds", i, err)
+		}
+	}
+	tables, bank, set := coldFoldBlob(t)
+	for name, vals := range map[string]map[int]byte{
+		"table 0 index and first tag": {tables: 1, tables + 1: 1},
+		"table 0 second tag":          {tables + 2: 1},
+		"table 10 tag and bank folds": {tables + 31: 1, tables + 32: 1, bank + 20: 1, bank + 21: 1},
+		"table 0 bank folds":          {bank: 1, bank + 1: 1},
+	} {
+		p, _, err := llbpx.LoadPredictorState(bytes.NewReader(set(vals)))
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		drive(p, fuzzBranches(), 256)
+	}
 }
 
 // TestLoadPrefixVerdictsMatchReference cuts a real llbp-x snapshot at
@@ -109,4 +194,64 @@ func TestLoadPrefixVerdictsMatchReference(t *testing.T) {
 		}
 		return p.(snapshot.State), nil
 	}, prefixes)
+}
+
+// TestDecodeKeepsNoReferenceToInput backs the recycled read buffers of
+// Load and ReadFile: a predictor decoded from a blob must not alias it.
+// Every byte of the input is overwritten after Decode, and the predictor
+// must still save what an untouched decode of the blob saves; likewise
+// after a second Load, which reuses the first Load's buffer, and a
+// ReadFile. (The untouched decode is the reference, not the blob: an
+// infinite-mode table re-saves its entries in a different order.)
+func TestDecodeKeepsNoReferenceToInput(t *testing.T) {
+	construct := func(name string) (snapshot.State, error) {
+		p, err := llbpx.NewPredictorByName(name)
+		if err != nil {
+			return nil, err
+		}
+		return p.(snapshot.State), nil
+	}
+	decode := func(name string, blob []byte) snapshot.State {
+		t.Helper()
+		s, _, err := snapshot.Decode(blob, construct)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return s
+	}
+	names := []string{"llbp-x", "llbp", "tsl-inf", "bullseye", "tournament"}
+	blobs := make([][]byte, len(names))
+	for i, name := range names {
+		blobs[i] = warmSnapshot(t, name)
+	}
+	for i, name := range names {
+		want := snapshot.Encode(name, decode(name, bytes.Clone(blobs[i])))
+		in := bytes.Clone(blobs[i])
+		s := decode(name, in)
+		for j := range in {
+			in[j] = ^in[j]
+		}
+		if !bytes.Equal(snapshot.Encode(name, s), want) {
+			t.Fatalf("%s: re-save after overwriting Decode's input differs", name)
+		}
+
+		s, _, err := snapshot.Load(bytes.NewReader(blobs[i]), construct)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		path := filepath.Join(t.TempDir(), "other.snap")
+		other := blobs[(i+1)%len(blobs)]
+		if err := os.WriteFile(path, other, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := snapshot.Load(bytes.NewReader(other), construct); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := snapshot.ReadFile(path, construct); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(snapshot.Encode(name, s), want) {
+			t.Fatalf("%s: re-save after further loads differs", name)
+		}
+	}
 }

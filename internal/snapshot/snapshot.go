@@ -56,9 +56,12 @@ type State interface {
 	LoadState(r *Reader)
 }
 
-// writerPool recycles the scratch Writers that Save uses and drops. A
-// blob handed to a caller (Encode) is always a fresh copy, so no pooled
-// buffer outlives the call that borrowed it.
+// writerPool recycles the scratch Writers that Save encodes into and
+// whose buffers Load and ReadFile read a blob into. A blob handed to a
+// caller (Encode) is always a fresh copy, and Decode copies everything it
+// keeps, so no pooled buffer outlives the call that borrowed it. Sharing
+// one pool between both directions keeps restores from pinning buffers
+// of their own.
 var writerPool = sync.Pool{New: func() any { return new(Writer) }}
 
 // maxPooledBuf caps the buffer a pooled Writer keeps, so one outsized
@@ -147,12 +150,41 @@ func Decode(data []byte, construct func(name string) (State, error)) (State, str
 // data where it occurred, exactly like truncation: the verdict is
 // ErrCorrupt unless a complete snapshot arrived before it.
 func Load(r io.Reader, construct func(name string) (State, error)) (State, string, error) {
-	var b bytes.Buffer
+	size := 0
 	if l, ok := r.(interface{ Len() int }); ok {
-		b.Grow(l.Len() + bytes.MinRead)
+		size = l.Len()
 	}
-	_, _ = b.ReadFrom(r) // a read error ends the data, as documented above
-	return Decode(b.Bytes(), construct)
+	w, _ := readBlob(r, size) // a read error ends the data, as documented above
+	defer w.release()
+	return Decode(w.buf, construct)
+}
+
+// readBlob reads r to EOF into a pooled Writer's buffer, sized for a blob
+// of size bytes when size is known. The caller decodes w.buf and hands the
+// Writer back with release. A buffer too small for the blob is replaced by
+// one of exactly the blob's size plus one byte (so the read that sees EOF
+// needs no room), not doubled, so the pool keeps no more than the largest
+// blob it served.
+func readBlob(r io.Reader, size int) (*Writer, error) {
+	w := writerPool.Get().(*Writer)
+	if cap(w.buf) <= size {
+		w.buf = make([]byte, 0, size+1)
+	}
+	buf := w.buf[:0]
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err != nil {
+			w.buf = buf
+			if err == io.EOF {
+				err = nil
+			}
+			return w, err
+		}
+	}
 }
 
 // WriteFile saves a snapshot crash-consistently: the bytes land in a temp
@@ -206,14 +238,24 @@ func WriteFileWrapped(path, name string, s State, wrap func(io.Writer) io.Writer
 	return nil
 }
 
-// ReadFile loads a snapshot from path, reading the file in one call and
-// decoding it with Decode. A missing or unreadable file surfaces as an
-// os error (not ErrCorrupt), so callers can stay quiet about the common
-// cold-start case.
+// ReadFile loads a snapshot from path, reading the file into a recycled
+// buffer and decoding it with Decode. A missing or unreadable file
+// surfaces as an os error (not ErrCorrupt), so callers can stay quiet
+// about the common cold-start case.
 func ReadFile(path string, construct func(name string) (State, error)) (State, string, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, "", err
 	}
-	return Decode(data, construct)
+	defer f.Close()
+	size := 0
+	if fi, err := f.Stat(); err == nil {
+		size = int(fi.Size())
+	}
+	w, err := readBlob(f, size)
+	defer w.release()
+	if err != nil {
+		return nil, "", err
+	}
+	return Decode(w.buf, construct)
 }

@@ -1,6 +1,8 @@
 package tage
 
 import (
+	"slices"
+
 	"llbpx/internal/snapshot"
 )
 
@@ -21,16 +23,15 @@ func (p *Predictor) SaveState(w *snapshot.Writer) {
 	p.ghist.SaveState(w)
 	p.path.SaveState(w)
 	for i := 0; i < NumTables; i++ {
-		f := &p.folds[i]
-		f.idx.SaveState(w)
-		f.tag1.SaveState(w)
-		f.tag2.SaveState(w)
+		p.fold(i, foldIdx).SaveState(w)
+		p.fold(i, foldTag1).SaveState(w)
+		p.fold(i, foldTag2).SaveState(w)
 	}
 	if p.cfg.Infinite {
 		w.Marker("tage.inf")
 		for i := 0; i < NumTables; i++ {
-			p.infTag1[i].SaveState(w)
-			p.infTag2[i].SaveState(w)
+			p.fold(i, foldInf1).SaveState(w)
+			p.fold(i, foldInf2).SaveState(w)
 			w.Count(p.inf[i].Len())
 			p.inf[i].Range(func(key uint64, e *entry) bool {
 				w.U64(key)
@@ -85,17 +86,16 @@ func (p *Predictor) LoadState(r *snapshot.Reader) {
 	p.ghist.LoadState(r)
 	p.path.LoadState(r)
 	for i := 0; i < NumTables; i++ {
-		f := &p.folds[i]
-		f.idx.LoadState(r)
-		f.tag1.LoadState(r)
-		f.tag2.LoadState(r)
+		p.loadFold(r, i, foldIdx)
+		p.loadFold(r, i, foldTag1)
+		p.loadFold(r, i, foldTag2)
 	}
 	ctrMin, ctrMax := int64(p.ctrMin()), int64(p.ctrMax())
 	if p.cfg.Infinite {
 		r.Marker("tage.inf")
 		for i := 0; i < NumTables && r.Err() == nil; i++ {
-			p.infTag1[i].LoadState(r)
-			p.infTag2[i].LoadState(r)
+			p.loadFold(r, i, foldInf1)
+			p.loadFold(r, i, foldInf2)
 			n := r.Count(maxInfEntries)
 			if r.Err() != nil {
 				return
@@ -157,6 +157,24 @@ func (p *Predictor) LoadState(r *snapshot.Reader) {
 		if p.loop != nil {
 			p.loop.loadState(r)
 		}
+	}
+}
+
+// loadFold restores logical fold k of table i. Folds are restored in
+// layout order, so a fold sharing an earlier fold's register finds that
+// register already loaded and must carry the same value; the format keeps
+// one value per logical fold. (Absent folds read slot 0, the index fold's
+// register, but are never restored.)
+func (p *Predictor) loadFold(r *snapshot.Reader, i, k int) {
+	f := p.fold(i, k)
+	if !slices.Contains(p.slot[i][:k], p.slot[i][k]) {
+		f.LoadState(r)
+		return
+	}
+	v := *f
+	v.LoadState(r)
+	if r.Err() == nil && v.Value() != f.Value() {
+		r.Fail("table %d: history folds of equal width disagree", i)
 	}
 }
 
@@ -251,25 +269,23 @@ func (l *loopPredictor) loadState(r *snapshot.Reader) {
 	l.seed = uint32(r.U64Max(1<<32 - 1))
 }
 
-// SaveState writes the bank's folded registers; geometry is configuration.
-// The registers live in the owning predictor but stay in the bank's own
-// snapshot section, so the byte format does not depend on who advances
-// them.
+// SaveState writes the bank's folds; geometry is configuration. The
+// registers live in the owning predictor, possibly shared with its own
+// folds, but the bank's values stay in its own snapshot section, so the
+// byte format does not depend on who advances them or which are shared.
 func (b *TagBank) SaveState(w *snapshot.Writer) {
 	w.Marker("tage.tagbank")
-	for i := range b.p.folds {
-		f := &b.p.folds[i]
-		f.bank1.SaveState(w)
-		f.bank2.SaveState(w)
+	for i := 0; i < NumTables; i++ {
+		b.p.fold(i, foldBank1).SaveState(w)
+		b.p.fold(i, foldBank2).SaveState(w)
 	}
 }
 
-// LoadState restores the bank's folded registers.
+// LoadState restores the bank's folds, after the owning predictor's.
 func (b *TagBank) LoadState(r *snapshot.Reader) {
 	r.Marker("tage.tagbank")
-	for i := range b.p.folds {
-		f := &b.p.folds[i]
-		f.bank1.LoadState(r)
-		f.bank2.LoadState(r)
+	for i := 0; i < NumTables; i++ {
+		b.p.loadFold(r, i, foldBank1)
+		b.p.loadFold(r, i, foldBank2)
 	}
 }

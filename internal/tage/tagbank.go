@@ -1,15 +1,13 @@
 package tage
 
-import (
-	"llbpx/internal/hashutil"
-	"llbpx/internal/history"
-)
+import "llbpx/internal/hashutil"
 
 // TagBank computes pattern tags of a fixed width for every TAGE history
 // length. LLBP and LLBP-X use one to form the (wider-than-TAGE) tags
 // stored in their pattern sets. Its folded registers are owned by the
 // predictor it is attached to, which advances them in the same pass as its
-// own folds, so the bank always sees exactly the predictor's history.
+// own folds, so the bank always sees exactly the predictor's history; a
+// bank fold as wide as one of the table's own folds reads that register.
 type TagBank struct {
 	p     *Predictor
 	width uint
@@ -26,11 +24,8 @@ func (p *Predictor) AttachTagBank(width uint) *TagBank {
 	if p.bank != nil {
 		panic("tage: predictor already has a TagBank")
 	}
-	for i, l := range HistoryLengths {
-		p.folds[i].bank1 = history.MakeFolded(l, width)
-		p.folds[i].bank2 = history.MakeFolded(l, width-1)
-	}
 	p.bank = &TagBank{p: p, width: width, mask: uint64(1)<<width - 1}
+	p.layoutFolds()
 	return p.bank
 }
 
@@ -40,7 +35,7 @@ func (b *TagBank) Width() uint { return b.width }
 // Tag returns the width-bit pattern tag for pc at history length index
 // lenIdx (into HistoryLengths), using the current history state.
 func (b *TagBank) Tag(pc uint64, lenIdx int) uint32 {
-	f := &b.p.folds[lenIdx]
-	t := hashutil.PCMix(pc) ^ f.bank1.Value() ^ (f.bank2.Value() << 1)
+	f, s := &b.p.folds[lenIdx], &b.p.slot[lenIdx]
+	t := hashutil.PCMix(pc) ^ f[s[foldBank1]].Value() ^ (f[s[foldBank2]].Value() << 1)
 	return uint32(t & b.mask)
 }

@@ -2,6 +2,7 @@ package tage
 
 import (
 	"fmt"
+	"slices"
 
 	"llbpx/internal/core"
 	"llbpx/internal/hashutil"
@@ -53,23 +54,29 @@ type Detail struct {
 // hashConst holds the per-table constants of the index/tag hash, computed
 // once at construction so computeHashes does no per-branch config checks.
 type hashConst struct {
-	tagMask  uint64
-	pathMask uint64
+	tagMask uint64
 	// foldedOffset is the table's index-hash constant, already folded to
 	// the index width (Fold is XOR-linear, so it folds once, here).
 	foldedOffset uint64
-	// shiftGroup selects the table's PC term in Predictor.shiftFold.
-	shiftGroup uint8
+	// shiftGroup and pathGroup select the table's PC and path terms in
+	// Predictor.shiftFold and Predictor.pathFold.
+	shiftGroup, pathGroup uint8
 }
 
-// tableFolds holds the folded registers that compress one table's history
-// length: the table's own index and tag folds, and the two folds of an
-// attached TagBank. pushHistory advances all of them from one fetch of the
-// bit aging out of that length.
-type tableFolds struct {
-	idx, tag1, tag2 history.Folded
-	bank1, bank2    history.Folded // zero unless a TagBank is attached
-}
+// The logical folds of one table, in the order they are laid out and
+// restored: the index and two tag folds, the infinite-mode key folds, and
+// an attached TagBank's two. A fold absent from the configuration has no
+// register.
+const (
+	foldIdx = iota
+	foldTag1
+	foldTag2
+	foldInf1
+	foldInf2
+	foldBank1
+	foldBank2
+	foldKinds
+)
 
 // Number of distinct index-hash PC shifts (table i shifts by i%7+2) and
 // the width of the path history mixed into the index.
@@ -88,22 +95,28 @@ type Predictor struct {
 	ghist *history.Global
 	path  *history.Path
 
-	// Folded registers live inline, grouped per table so one history push
-	// touches each table's folds together.
-	folds [NumTables]tableFolds
+	// Folded history registers live inline, one row per table, so one
+	// history push touches each table's folds together. Every fold of row
+	// i compresses HistoryLengths[i] bits, so folds of equal width hold
+	// equal values and share a register: the row keeps one per distinct
+	// width in its first nregs[i] slots, and slot[i][k] names the one
+	// logical fold k reads.
+	folds [NumTables][foldKinds]history.Folded
+	slot  [NumTables][foldKinds]uint8
+	nregs [NumTables]uint8
 	bank  *TagBank
 
 	hc [NumTables]hashConst
 	// The index width, the halving-fold windows of 64-bit and path-width
-	// values at that width, and the PC term of the index hash per distinct
-	// shift, folded once per lookup.
+	// values at that width, and the PC and path terms of the index hash per
+	// distinct shift and path mask, folded once per lookup.
 	logE, foldSpan, pathSpan uint
 	shiftFold                [shiftGroups]uint64
+	pathMasks, pathFold      [NumTables]uint64
+	pathGroups               int
 
-	tables  [][]entry                 // finite mode
-	inf     []oatable.Map[entry]      // infinite mode, keyed alias-free
-	infTag1 [NumTables]history.Folded // infinite-mode key folds
-	infTag2 [NumTables]history.Folded
+	tables  [][]entry            // finite mode
+	inf     []oatable.Map[entry] // infinite mode, keyed alias-free
 	bimodal []int8
 
 	useAlt int // use-alt-on-newly-allocated counter [-8,7]
@@ -144,27 +157,23 @@ func New(cfg Config) (*Predictor, error) {
 	p.foldSpan = hashutil.FoldSpan(64, logE)
 	p.pathSpan = hashutil.FoldSpan(pathBits, logE)
 	for i, l := range HistoryLengths {
-		tb := uint(cfg.tagBits(i))
-		if cfg.Infinite {
-			tb = 12
+		pathMask := uint64(1)<<min(l, pathBits) - 1
+		g := slices.Index(p.pathMasks[:p.pathGroups], pathMask)
+		if g < 0 {
+			g = p.pathGroups
+			p.pathMasks[g] = pathMask
+			p.pathGroups++
 		}
-		f := &p.folds[i]
-		f.idx = history.MakeFolded(l, logE)
-		f.tag1 = history.MakeFolded(l, tb)
-		f.tag2 = history.MakeFolded(l, tb-1)
 		p.hc[i] = hashConst{
-			tagMask:      uint64(1)<<tb - 1,
-			pathMask:     uint64(1)<<min(l, pathBits) - 1,
+			tagMask:      uint64(1)<<p.foldWidths(i)[foldTag1] - 1,
 			foldedOffset: hashutil.Fold(uint64(i)*0x9e3779b9, logE),
 			shiftGroup:   uint8(i % shiftGroups),
+			pathGroup:    uint8(g),
 		}
 	}
+	p.layoutFolds()
 	if cfg.Infinite {
 		p.inf = make([]oatable.Map[entry], NumTables)
-		for i, l := range HistoryLengths {
-			p.infTag1[i] = history.MakeFolded(l, 24)
-			p.infTag2[i] = history.MakeFolded(l, 23)
-		}
 	} else {
 		p.tables = make([][]entry, NumTables)
 		for i := range p.tables {
@@ -193,6 +202,50 @@ func MustNew(cfg Config) *Predictor {
 	}
 	return p
 }
+
+// foldWidths returns the width of each logical fold of table i, 0 for a
+// fold the configuration does not have.
+func (p *Predictor) foldWidths(i int) [foldKinds]uint {
+	var w [foldKinds]uint
+	tb := uint(p.cfg.tagBits(i))
+	if p.cfg.Infinite {
+		tb = 12
+		w[foldInf1], w[foldInf2] = 24, 23
+	}
+	w[foldIdx], w[foldTag1], w[foldTag2] = p.logE, tb, tb-1
+	if p.bank != nil {
+		w[foldBank1], w[foldBank2] = p.bank.width, p.bank.width-1
+	}
+	return w
+}
+
+// layoutFolds gives every logical fold a register. Folds of one table with
+// the same width compress the same bits the same way, so they share one:
+// in tsl-64k a 10-bit first tag fold is the index fold, and a 13-bit
+// TagBank's folds are the long tables' tag folds. It runs at construction
+// and when a TagBank attaches, before any history exists.
+func (p *Predictor) layoutFolds() {
+	for i, l := range HistoryLengths {
+		ws := p.foldWidths(i)
+		n := uint8(0)
+		for k, w := range ws {
+			if w == 0 {
+				continue
+			}
+			if j := slices.Index(ws[:], w); j < k {
+				p.slot[i][k] = p.slot[i][j]
+				continue
+			}
+			p.folds[i][n] = history.MakeFolded(l, w)
+			p.slot[i][k] = n
+			n++
+		}
+		p.nregs[i] = n
+	}
+}
+
+// fold returns the register holding logical fold k of table i.
+func (p *Predictor) fold(i, k int) *history.Folded { return &p.folds[i][p.slot[i][k]] }
 
 // Name implements core.Predictor.
 func (p *Predictor) Name() string { return p.cfg.Name }
@@ -234,8 +287,9 @@ func (p *Predictor) bimIndex(pc uint64) uint64 {
 // The index of table i is Fold(m ^ m>>shift_i ^ path&pathMask_i ^ idx_i ^
 // offset_i) with m = PCMix(pc). Fold is XOR-linear, so it is computed
 // term by term: the PC term once per distinct shift, the 16-bit path term
-// with a shorter fold, the offset at construction, and idx_i not at all,
-// since the fold register is already logE bits wide.
+// once per distinct mask (every table of 16 or more bits reads the whole
+// path), the offset at construction, and idx_i not at all, since the fold
+// register is already logE bits wide.
 func (p *Predictor) computeHashes(pc uint64) {
 	mixed := hashutil.PCMix(pc)
 	logE, span, pathSpan := p.logE, p.foldSpan, p.pathSpan
@@ -243,12 +297,14 @@ func (p *Predictor) computeHashes(pc uint64) {
 		p.shiftFold[g] = hashutil.FoldN(mixed^mixed>>(uint(g)+2), logE, span)
 	}
 	path := p.path.Value()
+	for g, m := range p.pathMasks[:p.pathGroups] {
+		p.pathFold[g] = hashutil.FoldN(path&m, logE, pathSpan)
+	}
 	for i := range p.hc {
 		h := &p.hc[i]
-		f := &p.folds[i]
-		pathTerm := hashutil.FoldN(path&h.pathMask, logE, pathSpan)
-		p.idx[i] = uint32(p.shiftFold[h.shiftGroup] ^ pathTerm ^ f.idx.Value() ^ h.foldedOffset)
-		t := mixed ^ f.tag1.Value() ^ (f.tag2.Value() << 1)
+		f, s := &p.folds[i], &p.slot[i]
+		p.idx[i] = uint32(p.shiftFold[h.shiftGroup] ^ p.pathFold[h.pathGroup] ^ f[s[foldIdx]].Value() ^ h.foldedOffset)
+		t := mixed ^ f[s[foldTag1]].Value() ^ (f[s[foldTag2]].Value() << 1)
 		p.tag[i] = uint32(t & h.tagMask)
 	}
 }
@@ -257,7 +313,7 @@ func (p *Predictor) computeHashes(pc uint64) {
 // with two wide history folds, so distinct (pc, history) pairs collide with
 // negligible probability.
 func (p *Predictor) infKey(pc uint64, i int) uint64 {
-	return hashutil.Mix64(pc*0x9e3779b97f4a7c15 + p.infTag1[i].Value()<<25 + p.infTag2[i].Value()<<2 + uint64(i))
+	return hashutil.Mix64(pc*0x9e3779b97f4a7c15 + p.fold(i, foldInf1).Value()<<25 + p.fold(i, foldInf2).Value()<<2 + uint64(i))
 }
 
 // lookupEntry returns the matching entry of table i, or nil.
@@ -503,29 +559,42 @@ func (p *Predictor) allocate(pc uint64, taken bool, provider int) {
 	}
 }
 
-// pushHistory records the branch's canonical history bit and advances all
-// folded registers, those of an attached TagBank included, in one pass; it
-// must run exactly once per retired branch. All folds of table i compress
-// the same HistoryLengths[i] bits, so the bit aging out of that window is
-// fetched once per table.
+// pushHistory records the branch's canonical history bit and advances every
+// folded register, those of an attached TagBank included, in one pass; it
+// must run exactly once per retired branch. All registers of table i
+// compress the same HistoryLengths[i] bits, so the bit aging out of that
+// window is fetched once per table.
 func (p *Predictor) pushHistory(b core.Branch) {
 	p.ghist.Push(core.HistoryBit(b))
 	p.path.Push(b.PC)
 	newest := uint64(p.ghist.Bit(0))
-	bank, inf := p.bank != nil, p.cfg.Infinite
 	for i := range p.folds {
 		f := &p.folds[i]
 		oldest := uint64(p.ghist.Bit(HistoryLengths[i]))
-		f.idx.UpdateBits(newest, oldest)
-		f.tag1.UpdateBits(newest, oldest)
-		f.tag2.UpdateBits(newest, oldest)
-		if bank {
-			f.bank1.UpdateBits(newest, oldest)
-			f.bank2.UpdateBits(newest, oldest)
-		}
-		if inf {
-			p.infTag1[i].UpdateBits(newest, oldest)
-			p.infTag2[i].UpdateBits(newest, oldest)
+		// Unrolled over the row's registers, highest first: a loop over
+		// them measured slower than the fixed updates it replaced, even
+		// with fewer registers to advance.
+		switch p.nregs[i] {
+		case 7:
+			f[6].UpdateBits(newest, oldest)
+			fallthrough
+		case 6:
+			f[5].UpdateBits(newest, oldest)
+			fallthrough
+		case 5:
+			f[4].UpdateBits(newest, oldest)
+			fallthrough
+		case 4:
+			f[3].UpdateBits(newest, oldest)
+			fallthrough
+		case 3:
+			f[2].UpdateBits(newest, oldest)
+			fallthrough
+		case 2:
+			f[1].UpdateBits(newest, oldest)
+			fallthrough
+		default:
+			f[0].UpdateBits(newest, oldest)
 		}
 	}
 	if p.sc != nil {

@@ -359,7 +359,7 @@ func TestFusedHashesMatchReference(t *testing.T) {
 				if l < 16 {
 					pathMask = uint64(1)<<uint(l) - 1
 				}
-				x := mixed ^ mixed>>(uint(i%7)+2) ^ p.folds[i].idx.Value() ^ (p.path.Value() & pathMask) ^ uint64(i)*0x9e3779b9
+				x := mixed ^ mixed>>(uint(i%7)+2) ^ p.fold(i, foldIdx).Value() ^ (p.path.Value() & pathMask) ^ uint64(i)*0x9e3779b9
 				if want := uint32(hashutil.Fold(x, p.logE)); p.idx[i] != want {
 					t.Fatalf("%s: branch %d table %d: index %#x, want %#x", cfg.Name, n, i, p.idx[i], want)
 				}

@@ -66,13 +66,19 @@ func TestWireChaosSuite(t *testing.T) {
 
 		// One worker slot, a 1ms admission window, and 2ms of injected
 		// execution latency: concurrent sessions must shed, and shed
-		// batches must be resent without double-applying.
+		// batches must be resent without double-applying. The test holds
+		// the only slot until the first NACK is counted at both ends, so
+		// shedding happens on every run rather than only when a batch
+		// happens to miss the window.
 		in := faults.New(11)
 		in.Set(serve.FaultBatchExec, faults.Rule{Latency: 2 * time.Millisecond})
 		srv, _, c := testWireServer(t,
 			serve.Config{Workers: 1, AdmitTimeout: time.Millisecond, Faults: in},
 			Config{})
 		c.WithRetry(serve.RetryPolicy{MaxAttempts: 40, BaseDelay: 2 * time.Millisecond, MaxDelay: 30 * time.Millisecond})
+		if err := srv.AcquireSlot(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 
 		var wg sync.WaitGroup
 		errs := make([]error, 3)
@@ -92,6 +98,13 @@ func TestWireChaosSuite(t *testing.T) {
 				_, finals[g], errs[g] = st.Close(ctx)
 			}(g)
 		}
+		for deadline := time.Now().Add(10 * time.Second); c.ShedSeen() == 0 || srv.Stats().WireNacks == 0; {
+			if time.Now().After(deadline) {
+				break // the assertions below report which end saw nothing
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		srv.ReleaseSlot()
 		wg.Wait()
 		for g, err := range errs {
 			if err != nil {
