@@ -11,8 +11,6 @@ package llbpx_test
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -208,7 +206,7 @@ func (discard) Write(p []byte) (int, error) { return len(p), nil }
 // Hot path --------------------------------------------------------------------
 
 // hotPathPredictors and hotPathWorkloads span the steady-state
-// predict/update matrix BENCH_hotpath.json records.
+// predict/update matrix.
 var (
 	hotPathPredictors = []string{"tsl-64k", "llbp", "llbp-x"}
 	hotPathWorkloads  = []string{"nodeapp", "whiskey", "tpcc"}
@@ -245,9 +243,8 @@ func hotPathStream(b *testing.B, wl string, warmInstr, windowInstr uint64) (warm
 // the predictor is warmed over ~400k instructions, then a fixed ~100k
 // instruction window is replayed, so table/context state saturates and the
 // loop exercises exactly the serving-time hot path. ns/op is ns per branch;
-// run with -benchmem to see allocs per branch (0 in steady state). Set
-// LLBPX_BENCH_JSON to merge each cell's numbers into a JSON file (the
-// BENCH_hotpath.json recorder).
+// run with -benchmem to see allocs per branch (0 in steady state, which CI
+// asserts).
 func BenchmarkHotPath(b *testing.B) {
 	for _, predName := range hotPathPredictors {
 		for _, wlName := range hotPathWorkloads {
@@ -278,8 +275,6 @@ func BenchmarkHotPath(b *testing.B) {
 						p.TrackUnconditional(br)
 					}
 				}
-				b.StopTimer()
-				recordHotPathCell(b, predName, wlName)
 			})
 		}
 	}
@@ -288,7 +283,8 @@ func BenchmarkHotPath(b *testing.B) {
 // BenchmarkRunBatch measures the batched path sim.Run and llbpd drive:
 // core.RunBatch over 1024-branch batches of a ~100k-instruction nodeapp
 // window, replayed after a ~400k-instruction warm-up. One op is one batch;
-// ns/branch is the per-branch cost, and allocs/op must stay 0.
+// ns/branch is the per-branch cost, and allocs/op must stay 0 (CI asserts
+// it).
 func BenchmarkRunBatch(b *testing.B) {
 	const batchLen = 1024
 	for _, predName := range []string{"tsl-8k", "tsl-64k", "llbp-x"} {
@@ -317,35 +313,6 @@ func BenchmarkRunBatch(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batchLen), "ns/branch")
 		})
-	}
-}
-
-// recordHotPathCell merges one benchmark cell into the JSON file named by
-// LLBPX_BENCH_JSON (no-op otherwise). Merging lets a single `go test
-// -bench HotPath` run build up the full matrix incrementally.
-func recordHotPathCell(b *testing.B, predName, wlName string) {
-	b.Helper()
-	path := os.Getenv("LLBPX_BENCH_JSON")
-	if path == "" || b.N < 1000 {
-		return // ignore warmup/short calibration rounds
-	}
-	cells := map[string]map[string]float64{}
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &cells); err != nil {
-			b.Fatalf("corrupt %s: %v", path, err)
-		}
-	}
-	nsPerBranch := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-	cells[predName+"/"+wlName] = map[string]float64{
-		"ns_per_branch": nsPerBranch,
-		"branches":      float64(b.N),
-	}
-	data, err := json.MarshalIndent(cells, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
 	}
 }
 
@@ -416,8 +383,7 @@ func warmStartMPKI(p llbpx.Predictor, branches []llbpx.Branch) float64 {
 // for LLBP-X: the timed loop is one full snapshot restore (decode +
 // reconstruct), and the reported metrics compare a cold predictor's MPKI
 // over its first ~1M branches-worth of instructions against a
-// snapshot-restored one's over the same stream. Set LLBPX_BENCH_JSON to a
-// path to also record the data point as JSON (see BENCH_warmstart.json).
+// snapshot-restored one's over the same stream.
 func BenchmarkWarmStart(b *testing.B) {
 	const (
 		warmInstr  = 400_000
@@ -485,24 +451,4 @@ func BenchmarkWarmStart(b *testing.B) {
 	b.ReportMetric(coldBuildNs, "cold-build-ns")
 	b.ReportMetric(coldMPKI, "cold-mpki-1m")
 	b.ReportMetric(warmMPKI, "warm-mpki-1m")
-
-	if path := os.Getenv("LLBPX_BENCH_JSON"); path != "" {
-		point := map[string]any{
-			"benchmark":      "WarmStart",
-			"predictor":      "llbp-x",
-			"workload":       "nodeapp",
-			"warm_instr":     warmInstr,
-			"first_instr":    firstInstr,
-			"snapshot_bytes": len(data),
-			"cold_mpki_1m":   coldMPKI,
-			"warm_mpki_1m":   warmMPKI,
-		}
-		enc, err := json.MarshalIndent(point, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(enc, '\n'), 0o644); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

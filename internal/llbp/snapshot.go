@@ -121,8 +121,11 @@ func (d *ContextDir) SaveState(w *snapshot.Writer) {
 			n = int(d.rowLen[row])
 		}
 		w.Count(n)
-		for i := 0; i < n; i++ {
-			d.store[row*d.assoc+i].saveState(w)
+		if n > 0 {
+			sets := d.rowSets(uint64(row))
+			for i := range n {
+				sets[i].saveState(w)
+			}
 		}
 	}
 }
@@ -153,6 +156,7 @@ func (d *ContextDir) LoadState(r *snapshot.Reader) {
 	}
 	for rowIdx := 0; rowIdx < d.numSets; rowIdx++ {
 		n := r.Count(d.assoc)
+		var sets []PatternSet
 		for i := 0; i < n && r.Err() == nil; i++ {
 			cid := r.U64()
 			if r.Err() != nil {
@@ -162,8 +166,11 @@ func (d *ContextDir) LoadState(r *snapshot.Reader) {
 				r.Fail("context %#x stored in wrong row %d", cid, rowIdx)
 				return
 			}
-			d.ensure()
-			s := &d.store[rowIdx*d.assoc+i]
+			if sets == nil {
+				d.ensure()
+				sets = d.materializeRow(uint64(rowIdx))
+			}
+			s := &sets[i]
 			s.reset(cid, d.cfg)
 			d.stampProv(s)
 			if !loadPatternSetBody(r, d.cfg, s) {

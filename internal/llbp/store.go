@@ -272,32 +272,45 @@ func (s *PatternSet) reset(cid uint64, cfg *Config) {
 // pattern buffer stay valid as the directory grows.
 const infChunkSize = 1024
 
+// maxChunkRows is the number of directory rows materialized together in
+// one row chunk (fewer when the whole directory has fewer rows).
+const maxChunkRows = 32
+
 // ContextDir combines the paper's context directory (CD) and pattern
 // store (PS): a set-associative directory from context IDs to pattern
 // sets. Replacement keeps the sets with the most confident patterns (the
 // paper's policy), evicting the least-trained set of the index set.
 //
-// Finite geometries are one flat value array (row r occupies
-// store[r*assoc : r*assoc+rowLen[r]], in replacement order); eviction
+// The finite geometry is fixed hardware sized for a whole server program,
+// but one session uses a few percent of its contexts, so storage is
+// materialized row by row: rowSlot maps each row to its place in a list
+// of row chunks, each holding up to maxChunkRows rows of assoc sets (a
+// row's live sets are its first rowLen[r], in replacement order) and
+// their pattern slots. A row gets its place on its first insert (or when
+// a snapshot load reaches it) and keeps it until Release; eviction
 // recycles the victim's storage in place. Unbounded modes grow a chunked
-// slab indexed by an open-addressed cid table. Neither mode allocates on
-// the steady-state prediction path.
+// slab indexed by an open-addressed cid table. Once the rows a stream
+// touches exist, neither mode allocates on the prediction path.
 //
-// Storage is materialized lazily on the first insert (or snapshot load).
-// A directory attached to a patternpool namespace draws its arrays from
-// the pool's shared slab arena — fully re-initialized before use, so the
-// view stays private and bit-identical to a freshly allocated store —
-// and charges their bytes against the pool's budget. Release returns the
-// storage to the arena; a released directory re-materializes privately
-// if used again.
+// A directory attached to a patternpool namespace charges the nominal
+// geometry (slabBytes) against the pool's budget on its first insert — a
+// reservation, so spill decisions do not depend on how many rows a
+// session happened to touch — and Release hands its chunk list to the
+// pool's slab arena as one bundle, sized in real bytes, from which the
+// next directory of the same shape draws chunks before it allocates.
+// Every set is reset before it becomes live, so recycled storage is a
+// private view bit-identical to a freshly allocated one. A released
+// directory re-materializes privately if used again.
 type ContextDir struct {
 	// Finite geometry.
-	store   []PatternSet
-	rowLen  []int32
-	backing []Pattern
-	assoc   int
-	numSets int
-	mask    uint64
+	rowSlot    []int32 // per row: 1 + its index among materialized rows, 0 = absent
+	rowLen     []int32 // per row: live sets
+	chunks     []rowChunk
+	rows       int  // materialized rows
+	chunkShift uint // log2 of the rows per chunk
+	assoc      int
+	numSets    int
+	mask       uint64
 
 	// InfiniteContexts / NoContext mode.
 	infMode   bool
@@ -313,6 +326,14 @@ type ContextDir struct {
 	provID  uint64                 // unique owner stamp for slowcheck provenance
 }
 
+// rowChunk is the storage of 1<<chunkShift directory rows: assoc sets per
+// row and, outside the +Inf Patterns limit mode, each set's pattern
+// slots (sets[i].slots views pats).
+type rowChunk struct {
+	sets []PatternSet
+	pats []Pattern
+}
+
 // provSeq hands out directory provenance IDs; pool-attached directories
 // override theirs with the namespace's pool-unique ID.
 var provSeq atomic.Uint64
@@ -325,7 +346,7 @@ const (
 )
 
 // Slab classes for the pool arena. Finite-geometry slabs embed the exact
-// shape so recycled arrays always fit; the infinite-mode chunk class is
+// shape so recycled chunks always fit; the infinite-mode chunk class is
 // shape-independent (chunks have a fixed size).
 const infChunkClass = uint64(1)
 
@@ -338,17 +359,35 @@ func (d *ContextDir) slabClass() uint64 {
 }
 
 // dirSlabs is the finite-geometry storage bundle recycled through the
-// pool arena.
+// pool arena: a directory's row index and its chunk list.
 type dirSlabs struct {
-	store   []PatternSet
-	rowLen  []int32
-	backing []Pattern
+	rowIdx []int32 // rowSlot and rowLen, back to back
+	chunks []rowChunk
 }
 
+// slabBytes is the nominal size of the finite geometry — every row
+// materialized — which is what an attached directory charges.
 func (d *ContextDir) slabBytes() int64 {
-	return int64(len(d.store))*patternSetBytes +
-		int64(len(d.rowLen))*rowLenBytes +
-		int64(len(d.backing))*patternBytes
+	n := int64(d.numSets * d.assoc)
+	b := n*patternSetBytes + int64(d.numSets)*rowLenBytes
+	if !d.cfg.InfinitePatterns {
+		b += n * int64(d.cfg.PatternsPerSet) * patternBytes
+	}
+	return b
+}
+
+// materializedBytes is the real size of the finite storage: the row
+// index plus every chunk held, used or not.
+func (d *ContextDir) materializedBytes() int64 {
+	if d.rowSlot == nil {
+		return 0
+	}
+	sets := int64(len(d.chunks)*d.assoc) << d.chunkShift
+	b := 2*int64(d.numSets)*rowLenBytes + sets*patternSetBytes
+	if !d.cfg.InfinitePatterns {
+		b += sets * int64(d.cfg.PatternsPerSet) * patternBytes
+	}
+	return b
 }
 
 // NewContextDir builds the directory for cfg. Storage is deferred to the
@@ -366,6 +405,9 @@ func NewContextDir(cfg *Config) *ContextDir {
 	d.numSets = numSets
 	d.assoc = cfg.NumContexts / numSets
 	d.mask = uint64(numSets - 1)
+	for 1<<(d.chunkShift+1) <= min(maxChunkRows, numSets) {
+		d.chunkShift++
+	}
 	return d
 }
 
@@ -380,51 +422,69 @@ func (d *ContextDir) AttachPool(ns *patternpool.Namespace) {
 	}
 }
 
-// ensure materializes finite-geometry storage: one store array, one row
-// length array, and (outside the +Inf Patterns limit mode) one shared
-// backing array for every set's slots — so the whole pattern store is at
-// most three allocations, recycled whole through the pool arena, and set
-// and slot pointers are stable until Release.
+// ensure materializes the finite geometry's row index, adopting a
+// recycled bundle's index and chunk list when the pool arena has one,
+// and charges the nominal geometry to an attached namespace. Rows get
+// their storage later, one at a time, from materializeRow.
 func (d *ContextDir) ensure() {
-	if d.store != nil || d.infMode {
+	if d.rowSlot != nil || d.infMode {
 		return
 	}
-	n := d.numSets * d.assoc
-	pps := d.cfg.PatternsPerSet
+	var idx []int32
 	if d.ns != nil {
 		if v, ok := d.ns.GetSlab(d.slabClass()); ok {
 			sl := v.(dirSlabs)
-			d.store, d.rowLen, d.backing = sl.store, sl.rowLen, sl.backing
-			// A recycled slab carries a previous session's state: wipe it
-			// to exactly the freshly-allocated form (bit-exactness bar).
-			for i := range d.store {
-				d.store[i] = PatternSet{}
-			}
-			for i := range d.rowLen {
-				d.rowLen[i] = 0
-			}
+			idx, d.chunks = sl.rowIdx, sl.chunks
+			clear(idx)
 		}
 	}
-	if d.store == nil {
-		d.store = make([]PatternSet, n)
-		d.rowLen = make([]int32, d.numSets)
-		if !d.cfg.InfinitePatterns {
-			d.backing = make([]Pattern, n*pps)
-		}
+	if idx == nil {
+		idx = make([]int32, 2*d.numSets)
 	}
-	if d.backing != nil {
-		for i := range d.backing {
-			d.backing[i] = Pattern{LenIdx: -1}
-		}
-		for i := range d.store {
-			d.store[i].slots = d.backing[i*pps : (i+1)*pps : (i+1)*pps]
-		}
-	}
+	d.rowSlot, d.rowLen = idx[:d.numSets], idx[d.numSets:]
 	if d.ns != nil {
 		b := d.slabBytes()
 		d.charged += b
 		d.ns.Charge(b)
 	}
+}
+
+// rowSets returns the storage of a materialized row (nil if absent): its
+// assoc sets, of which the first rowLen[row] are live.
+func (d *ContextDir) rowSets(row uint64) []PatternSet {
+	k := int(d.rowSlot[row]) - 1
+	if k < 0 {
+		return nil
+	}
+	c := &d.chunks[k>>d.chunkShift]
+	base := (k & (1<<d.chunkShift - 1)) * d.assoc
+	return c.sets[base : base+d.assoc : base+d.assoc]
+}
+
+// materializeRow gives row the next place in the chunk list, adding a
+// chunk when the held ones are full. Sets are handed out unreset: each
+// is reset before it becomes live.
+func (d *ContextDir) materializeRow(row uint64) []PatternSet {
+	if d.rows == len(d.chunks)<<d.chunkShift {
+		d.chunks = append(d.chunks, d.newChunk())
+	}
+	d.rows++
+	d.rowSlot[row] = int32(d.rows)
+	return d.rowSets(row)
+}
+
+// newChunk allocates one row chunk with its slot views in place.
+func (d *ContextDir) newChunk() rowChunk {
+	n := d.assoc << d.chunkShift
+	c := rowChunk{sets: make([]PatternSet, n)}
+	if !d.cfg.InfinitePatterns {
+		pps := d.cfg.PatternsPerSet
+		c.pats = make([]Pattern, n*pps)
+		for i := range c.sets {
+			c.sets[i].slots = c.pats[i*pps : (i+1)*pps : (i+1)*pps]
+		}
+	}
+	return c
 }
 
 // Release returns the directory's storage (to the pool arena when
@@ -434,11 +494,12 @@ func (d *ContextDir) ensure() {
 // buffer first. Idempotent.
 func (d *ContextDir) Release() {
 	ns := d.ns
-	if d.store != nil {
+	if d.rowSlot != nil {
 		if ns != nil {
-			ns.PutSlab(d.slabClass(), dirSlabs{store: d.store, rowLen: d.rowLen, backing: d.backing}, d.slabBytes())
+			idx := d.rowSlot[:2*d.numSets]
+			ns.PutSlab(d.slabClass(), dirSlabs{rowIdx: idx, chunks: d.chunks}, d.materializedBytes())
 		}
-		d.store, d.rowLen, d.backing = nil, nil, nil
+		d.rowSlot, d.rowLen, d.chunks, d.rows = nil, nil, nil, 0
 	}
 	if d.infMode && d.infCount > 0 {
 		if ns != nil {
@@ -517,8 +578,10 @@ func (d *ContextDir) Live() int {
 	return n
 }
 
-// StoreBytes returns the bytes currently charged for this directory's
-// materialized storage (0 before first use or after Release).
+// StoreBytes returns the bytes this directory's storage accounts for: the
+// charge to an attached namespace, otherwise the nominal finite geometry
+// once materialized, or the unbounded slab (0 before first use or after
+// Release).
 func (d *ContextDir) StoreBytes() int64 {
 	if d.ns != nil {
 		return d.charged
@@ -526,7 +589,7 @@ func (d *ContextDir) StoreBytes() int64 {
 	if d.infMode {
 		return int64(len(d.infChunks)) * int64(infChunkSize) * patternSetBytes
 	}
-	if d.store == nil {
+	if d.rowSlot == nil {
 		return 0
 	}
 	return d.slabBytes()
@@ -545,13 +608,13 @@ func (d *ContextDir) Lookup(cid uint64) *PatternSet {
 		}
 		return nil
 	}
-	if d.store == nil {
+	if d.rowSlot == nil {
 		return nil
 	}
 	row := cid & d.mask
-	base := int(row) * d.assoc
+	sets := d.rowSets(row)
 	for i := 0; i < int(d.rowLen[row]); i++ {
-		if s := &d.store[base+i]; s.CID == cid {
+		if s := &sets[i]; s.CID == cid {
 			d.checkProv(s)
 			return s
 		}
@@ -576,9 +639,12 @@ func (d *ContextDir) Insert(cid uint64) (s *PatternSet, evictedCID uint64, evict
 	}
 	d.ensure()
 	row := cid & d.mask
-	base := int(row) * d.assoc
+	sets := d.rowSets(row)
+	if sets == nil {
+		sets = d.materializeRow(row)
+	}
 	if n := int(d.rowLen[row]); n < d.assoc {
-		s = &d.store[base+n]
+		s = &sets[n]
 		s.reset(cid, d.cfg)
 		d.stampProv(s)
 		d.rowLen[row]++
@@ -587,12 +653,12 @@ func (d *ContextDir) Insert(cid uint64) (s *PatternSet, evictedCID uint64, evict
 	// Evict the set with the fewest confident patterns (paper's policy:
 	// favor sets with more high-confidence patterns).
 	victim, best := 0, 1<<30
-	for i := 0; i < d.assoc; i++ {
-		if c := d.store[base+i].ConfidentCount(); c < best {
+	for i := range sets {
+		if c := sets[i].ConfidentCount(); c < best {
 			best, victim = c, i
 		}
 	}
-	s = &d.store[base+victim]
+	s = &sets[victim]
 	evictedCID = s.CID
 	s.reset(cid, d.cfg)
 	d.stampProv(s)
@@ -773,10 +839,10 @@ func (d *ContextDir) ForEach(fn func(*PatternSet)) {
 		}
 		return
 	}
-	for row := range d.rowLen {
-		base := row * d.assoc
-		for i := 0; i < int(d.rowLen[row]); i++ {
-			fn(&d.store[base+i])
+	for row, n := range d.rowLen {
+		sets := d.rowSets(uint64(row))
+		for i := range n {
+			fn(&sets[i])
 		}
 	}
 }

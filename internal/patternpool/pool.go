@@ -9,11 +9,12 @@
 // than by the number of sessions ever seen.
 //
 // Bit-exactness contract: a live namespace's pattern state is always a
-// private view — recycled slabs are fully re-initialized before reuse,
-// and cross-session sharing happens only between frozen (immutable)
-// blobs of sessions that declared the same workload fingerprint. Thawing
-// copies the blob back out, so per-session prediction streams are
-// bit-identical to a private store regardless of budget pressure.
+// private view — recycled slabs are re-initialized before any of their
+// state becomes live, and cross-session sharing happens only between
+// frozen (immutable) blobs of sessions that declared the same workload
+// fingerprint. Thawing copies the blob back out, so per-session
+// prediction streams are bit-identical to a private store regardless of
+// budget pressure.
 package patternpool
 
 import (

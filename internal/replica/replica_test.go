@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"path"
 	"sync"
 	"testing"
 	"time"
@@ -137,6 +138,95 @@ func TestShipperCadenceAndEpoch(t *testing.T) {
 	sh.NoteBatch("untracked")
 	if _, ok := sh.Lag("untracked"); ok {
 		t.Fatal("untracked session grew a target")
+	}
+}
+
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// TestShipperInFlightNoDuplicate pins the in-flight rule without timing:
+// Export blocks until the test releases it, and every ship shares one
+// standby worker, whose queue is FIFO, so a session set as a target
+// after a release exports next unless a ship was queued before it.
+// Enqueues asked for while a ship is in flight must not queue a second
+// ship behind it, and batches owed at settle must still be shipped.
+func TestShipperInFlightNoDuplicate(t *testing.T) {
+	const standby = "http://standby.invalid"
+	var mu sync.Mutex
+	posts := map[string]int{}
+	client := &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		mu.Lock()
+		posts[path.Base(path.Dir(r.URL.Path))]++
+		mu.Unlock()
+		return &http.Response{StatusCode: http.StatusOK, Body: http.NoBody, Request: r}, nil
+	})}
+	exports := make(chan string, 16)
+	release := make(chan struct{})
+	sh := NewShipper(ShipperConfig{
+		Every:    4,
+		Interval: time.Hour, // the test runs the anti-entropy pass itself
+		Client:   client,
+		Export: func(id string) ([]byte, error) {
+			exports <- id
+			<-release
+			return []byte(id), nil
+		},
+	})
+	defer sh.Close()
+	defer close(release) // unblock any export still waiting, before Close
+	expectExport := func(want, why string) {
+		t.Helper()
+		select {
+		case id := <-exports:
+			if id != want {
+				t.Fatalf("next export is %q, want %q: %s", id, want, why)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("no export of %q: %s", want, why)
+		}
+	}
+
+	// A slow first full ship: anti-entropy passes and a batch below the
+	// cadence ask for "a" again while it is in flight.
+	sh.SetTarget("a", standby, 1)
+	expectExport("a", "placement ship")
+	sh.antiEntropy()
+	sh.NoteBatch("a")
+	sh.antiEntropy()
+	release <- struct{}{}
+	sh.SetTarget("b", standby, 1)
+	expectExport("b", "a duplicate ship of a was queued behind the in-flight one")
+	release <- struct{}{}
+
+	// Every batches arrive while "c"'s first ship is in flight: the
+	// cadence enqueue they ask for must fire when it settles.
+	sh.SetTarget("c", standby, 1)
+	expectExport("c", "placement ship")
+	for range 4 {
+		sh.NoteBatch("c")
+	}
+	release <- struct{}{}
+	expectExport("c", "the debt noted in flight was not re-enqueued at settle")
+	release <- struct{}{}
+	sh.SetTarget("d", standby, 1)
+	expectExport("d", "barrier behind c's second ship")
+	if lag, ok := sh.Lag("c"); !ok || lag != 0 {
+		t.Fatalf("c after its second ship: lag=%d ok=%v, want 0 true", lag, ok)
+	}
+	if lag, ok := sh.Lag("a"); !ok || lag != 1 {
+		t.Fatalf("a: lag=%d ok=%v, want the batch below the cadence left to anti-entropy", lag, ok)
+	}
+	release <- struct{}{}
+	sh.Close() // waits out d's ship
+
+	mu.Lock()
+	defer mu.Unlock()
+	want := map[string]int{"a": 1, "b": 1, "c": 2, "d": 1}
+	for id, n := range want {
+		if posts[id] != n {
+			t.Errorf("session %q shipped %d times, want %d (all: %v)", id, posts[id], n, posts)
+		}
 	}
 }
 

@@ -70,8 +70,17 @@ type shipTarget struct {
 	url     string // standby base URL ("" never stored; Drop removes instead)
 	epoch   uint64 // fence epoch stamped into every ship
 	pending int    // applied batches not yet covered by a successful ship
-	queued  bool   // sitting in a worker queue right now
+	busy    bool   // queued or in flight, from enqueue until its ship settles
+	again   bool   // an enqueue was asked for while the ship was in flight
 	shipped bool   // the current (url, epoch) has received at least one full ship
+}
+
+// shipJob is one queued ship: the target it was enqueued for travels
+// with the ID, so a job whose target was replaced or dropped meanwhile
+// is discarded instead of shipping the successor from the wrong queue.
+type shipJob struct {
+	id string
+	t  *shipTarget
 }
 
 // Shipper is the primary-side replication pump: NoteBatch accounts
@@ -84,7 +93,7 @@ type Shipper struct {
 
 	mu      sync.Mutex
 	targets map[string]*shipTarget
-	workers map[string]chan string // standby URL -> session-id queue
+	workers map[string]chan shipJob // standby URL -> ship queue
 	closed  bool
 
 	stop chan struct{}
@@ -97,7 +106,7 @@ func NewShipper(cfg ShipperConfig) *Shipper {
 	s := &Shipper{
 		cfg:     cfg.withDefaults(),
 		targets: make(map[string]*shipTarget),
-		workers: make(map[string]chan string),
+		workers: make(map[string]chan shipJob),
 		stop:    make(chan struct{}),
 	}
 	s.wg.Add(1)
@@ -175,10 +184,7 @@ func (s *Shipper) Close() {
 	s.cfg.Client.CloseIdleConnections()
 }
 
-// loop is the anti-entropy pass: every Interval it re-enqueues every
-// session that owes its standby state — unshipped batches, or a target
-// that has never received a full ship (fresh placement after a ring
-// change, or a ship lost to an injected fault).
+// loop runs the anti-entropy pass every Interval until Close.
 func (s *Shipper) loop() {
 	defer s.wg.Done()
 	t := time.NewTicker(s.cfg.Interval)
@@ -189,44 +195,58 @@ func (s *Shipper) loop() {
 			return
 		case <-t.C:
 		}
-		s.mu.Lock()
-		for id, tg := range s.targets {
-			if tg.pending > 0 || !tg.shipped {
-				s.enqueueLocked(id, tg)
-			}
+		s.antiEntropy()
+	}
+}
+
+// antiEntropy re-enqueues every session that owes its standby state —
+// unshipped batches, or a target that has never received a full ship
+// (fresh placement after a ring change, or a ship lost to an injected
+// fault).
+func (s *Shipper) antiEntropy() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for id, t := range s.targets {
+		if t.pending > 0 || !t.shipped {
+			s.enqueueLocked(id, t)
 		}
-		s.mu.Unlock()
 	}
 }
 
 // enqueueLocked hands a session to its standby's worker. Callers hold
-// s.mu. A full queue drops the enqueue — the next anti-entropy tick
-// retries, so backpressure degrades to lag, never to blocking the
-// batch path.
+// s.mu. A target already queued is left alone (its ship reads the debt
+// when it starts); one in flight is marked to be re-enqueued when its
+// ship settles, so a slow ship never has a duplicate queued behind it.
+// A full queue drops the enqueue — the next anti-entropy tick retries,
+// so backpressure degrades to lag, never to blocking the batch path.
 func (s *Shipper) enqueueLocked(id string, t *shipTarget) {
-	if s.closed || t.queued {
+	if s.closed {
+		return
+	}
+	if t.busy {
+		t.again = true
 		return
 	}
 	ch := s.workers[t.url]
 	if ch == nil {
-		ch = make(chan string, 1024)
+		ch = make(chan shipJob, 1024)
 		s.workers[t.url] = ch
 		s.wg.Add(1)
 		go s.worker(ch)
 	}
 	select {
-	case ch <- id:
-		t.queued = true
+	case ch <- shipJob{id: id, t: t}:
+		t.busy = true
 	default:
 	}
 }
 
 // worker drains one standby's queue serially: per (primary, standby)
 // pair, ships ride a single persistent connection in order.
-func (s *Shipper) worker(ch chan string) {
+func (s *Shipper) worker(ch chan shipJob) {
 	defer s.wg.Done()
-	for id := range ch {
-		s.ship(id)
+	for j := range ch {
+		s.ship(j.id, j.t)
 	}
 }
 
@@ -234,36 +254,39 @@ func (s *Shipper) worker(ch chan string) {
 // accounting: success clears the debt observed at send time, a fence
 // rejection drops the target, an export failure clears the debt (it is
 // unfixable by retrying), and everything else leaves the debt in place
-// for the anti-entropy loop.
-func (s *Shipper) ship(id string) {
+// for the anti-entropy loop. A job whose target is no longer the
+// session's current one is dropped unsent. If an enqueue was asked for
+// while the ship was in flight and the target still owes Every batches
+// or a first full ship, it is re-enqueued at settle.
+func (s *Shipper) ship(id string, t *shipTarget) {
 	s.mu.Lock()
-	t := s.targets[id]
-	if t == nil || s.closed {
-		if t != nil {
-			t.queued = false
-		}
+	if s.closed || s.targets[id] != t {
 		s.mu.Unlock()
 		return
 	}
-	t.queued = false
+	t.again = false
 	target, epoch, debt := t.url, t.epoch, t.pending
 	s.mu.Unlock()
 
 	err := s.shipOnce(id, target, epoch)
 
 	s.mu.Lock()
-	if cur := s.targets[id]; cur != nil && cur.url == target && cur.epoch == epoch {
+	t.busy = false
+	if s.targets[id] == t {
 		switch {
 		case err == nil:
-			cur.shipped = true
-			if cur.pending -= debt; cur.pending < 0 {
-				cur.pending = 0
+			t.shipped = true
+			if t.pending -= debt; t.pending < 0 {
+				t.pending = 0
 			}
 		case errors.Is(err, ErrStaleEpoch):
 			delete(s.targets, id)
 		case errors.Is(err, errExport):
-			cur.shipped = true
-			cur.pending = 0
+			t.shipped = true
+			t.pending = 0
+		}
+		if t.again && s.targets[id] == t && (t.pending >= s.cfg.Every || !t.shipped) {
+			s.enqueueLocked(id, t)
 		}
 	}
 	s.mu.Unlock()

@@ -103,3 +103,33 @@ func TestSnapshotSaveAllocGate(t *testing.T) {
 		t.Errorf("save of a warm llbp-x: %d B/op, want < 1024", perOp)
 	}
 }
+
+// TestSnapshotLoadAllocGate holds a restore's footprint: loading the warm
+// llbp-x blob BenchmarkSnapshotCodec loads builds a cold predictor and
+// fills it, and the context directory materializes only the rows the
+// blob holds, so a load stays under 1 MB. A directory that allocated its
+// whole nominal geometry again (~2.5 MB) would fail here.
+func TestSnapshotLoadAllocGate(t *testing.T) {
+	p := warmPredictor(t, "llbp-x")
+	var buf bytes.Buffer
+	if err := llbpx.SavePredictorState(&buf, "llbp-x", p); err != nil {
+		t.Fatal(err)
+	}
+	blob := buf.Bytes()
+	load := func() {
+		if _, _, err := llbpx.LoadPredictorState(bytes.NewReader(blob)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	load()
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		load()
+	}
+	runtime.ReadMemStats(&after)
+	if perOp := (after.TotalAlloc - before.TotalAlloc) / runs; perOp > 1<<20 {
+		t.Errorf("load of a warm llbp-x: %d B/op, want <= 1 MB", perOp)
+	}
+}

@@ -75,8 +75,8 @@ func registerBenchBimodal(tb testing.TB) {
 // protocol ratio) and bimodal-64k (near-free prediction; the ratio
 // isolates transport cost). Client and server run in one process, so the
 // reported "branches/s/core" divides by total process CPU, charging each
-// protocol for both sides of its codec — the honest basis for the
-// JSON-vs-binary comparison in BENCH_served.json.
+// protocol for both sides of its codec — the honest basis for a
+// JSON-vs-binary comparison.
 func BenchmarkServedThroughput(b *testing.B) {
 	const batchSize = 2048
 	branches := benchWorkload(b)

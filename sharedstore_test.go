@@ -102,8 +102,9 @@ func TestSharedStoreIsolation(t *testing.T) {
 		workloads = workloads[:4]
 		predictors = []string{"llbp", "llbp-x"}
 	}
-	// 32MB budget → 8MB slab arena: room for ~3 released directories
-	// (one llbp directory is ~2.5MB), so each session's storage is
+	// 32MB budget → 8MB slab arena: room for several released
+	// directories (a released directory holds the rows it used, well
+	// under its 2.5MB nominal charge), so each session's storage is
 	// recycled into a successor instead of being dropped — exactly the
 	// reuse path a leak would travel.
 	pool := patternpool.New(patternpool.Config{Budget: 32 << 20, Sharing: true, Shards: 2})
