@@ -216,6 +216,9 @@ type Gateway struct {
 	cfg     Config
 	metrics *gwMetrics
 	mux     *http.ServeMux
+	// retry shapes every forward and transfer retry loop: exponential
+	// from RetryBase, capped at RetryMax, jittered ±20%.
+	retry serve.RetryPolicy
 
 	mu          sync.Mutex
 	ring        *hashutil.Ring
@@ -247,6 +250,7 @@ func New(cfg Config) (*Gateway, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	g := &Gateway{
 		cfg:      cfg,
+		retry:    serve.RetryPolicy{BaseDelay: cfg.RetryBase, MaxDelay: cfg.RetryMax, Jitter: 0.2},
 		ring:     hashutil.NewRing(cfg.VNodes),
 		backends: make(map[string]*backendState),
 		sessions: make(map[string]*gwSession),

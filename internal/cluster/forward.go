@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"llbpx/internal/core"
@@ -82,7 +81,7 @@ func (g *Gateway) transfer(ctx context.Context, gs *gwSession, from, to *backend
 	for attempt := 1; attempt <= g.cfg.TransferAttempts; attempt++ {
 		if attempt > 1 {
 			select {
-			case <-time.After(g.backoff(attempt-1, 0)):
+			case <-time.After(g.retry.Backoff(attempt-1, 0)):
 			case <-ctx.Done():
 				return ctx.Err()
 			}
@@ -193,7 +192,7 @@ func (g *Gateway) forward(ctx context.Context, gs *gwSession, predictor string, 
 				hint = ne.RetryAfter
 			}
 			select {
-			case <-time.After(g.backoff(attempt-1, hint)):
+			case <-time.After(g.retry.Backoff(attempt-1, hint)):
 			case <-ctx.Done():
 				return false, lastErr
 			}
@@ -303,7 +302,7 @@ func (g *Gateway) closeSession(ctx context.Context, id string) (string, wire.Wir
 	for attempt := 1; attempt <= g.cfg.ForwardAttempts; attempt++ {
 		if attempt > 1 {
 			select {
-			case <-time.After(g.backoff(attempt-1, 0)):
+			case <-time.After(g.retry.Backoff(attempt-1, 0)):
 			case <-ctx.Done():
 				return "", wire.WireStats{}, lastErr
 			}
@@ -340,22 +339,4 @@ func (g *Gateway) closeSession(ctx context.Context, id string) (string, wire.Wir
 		g.noteFailure(bs)
 	}
 	return "", wire.WireStats{}, lastErr
-}
-
-// backoff computes the forward loop's wait before the next attempt:
-// exponential from RetryBase, capped at RetryMax, jittered ±20%, never
-// shorter than the server's hint.
-func (g *Gateway) backoff(attempt int, hint time.Duration) time.Duration {
-	d := g.cfg.RetryBase
-	for i := 1; i < attempt && d < g.cfg.RetryMax; i++ {
-		d *= 2
-	}
-	if d > g.cfg.RetryMax {
-		d = g.cfg.RetryMax
-	}
-	d = time.Duration(float64(d) * (0.8 + 0.4*rand.Float64()))
-	if hint > d {
-		d = hint
-	}
-	return d
 }

@@ -111,7 +111,7 @@ func (g *Gateway) promote(ctx context.Context, gs *gwSession, tgt *backendState)
 	for attempt := 1; attempt <= g.cfg.TransferAttempts; attempt++ {
 		if attempt > 1 {
 			select {
-			case <-time.After(g.backoff(attempt-1, 0)):
+			case <-time.After(g.retry.Backoff(attempt-1, 0)):
 			case <-ctx.Done():
 				return lastErr
 			}
@@ -181,7 +181,7 @@ func (g *Gateway) replayTail(ctx context.Context, gs *gwSession, tgt *backendSta
 		for attempt := 1; attempt <= g.cfg.ForwardAttempts && !replayed; attempt++ {
 			if attempt > 1 {
 				select {
-				case <-time.After(g.backoff(attempt-1, 0)):
+				case <-time.After(g.retry.Backoff(attempt-1, 0)):
 				case <-ctx.Done():
 					return lastErr
 				}

@@ -53,38 +53,6 @@ func (s *Server) ExportSession(id string) ([]byte, error) {
 	return nil, fmt.Errorf("serve: no session %q: %w", id, ErrSessionNotFound)
 }
 
-// decodeSessionBlob materializes an exported checkpoint blob as a fully
-// constructed session — predictor state, statistics, and cursor restored
-// — WITHOUT publishing it in the shard map. The import path publishes it
-// immediately; the replication path parks it as a warm standby instead.
-// A corrupt or torn blob returns ErrSnapshotCorrupt and leaves nothing
-// allocated.
-func (s *Server) decodeSessionBlob(id string, data []byte) (*Session, error) {
-	var sess *Session
-	_, _, err := snapshot.Decode(data, func(name string) (snapshot.State, error) {
-		ns, nerr := s.newSession(id, name, "", false)
-		if nerr != nil {
-			return nil, nerr
-		}
-		if _, ok := ns.pred.(snapshot.State); !ok {
-			s.releaseSessionStore(ns)
-			return nil, fmt.Errorf("predictor %q does not support snapshots", name)
-		}
-		sess = ns
-		return sessionState{ns}, nil
-	})
-	if err != nil {
-		if sess != nil {
-			s.releaseSessionStore(sess)
-		}
-		if errors.Is(err, snapshot.ErrCorrupt) {
-			return nil, fmt.Errorf("serve: import of session %q: %v: %w", id, err, ErrSnapshotCorrupt)
-		}
-		return nil, err
-	}
-	return sess, nil
-}
-
 // ImportSession installs an exported checkpoint blob as live session id,
 // replacing any existing session under that ID (the transfer's
 // destination must win — the source already quiesced and exported the
@@ -106,43 +74,81 @@ func (s *Server) ImportSession(id string, data []byte) (SessionFinal, error) {
 // export. The fence follows the same rule as standby installs — reject
 // below it, raise it on success.
 func (s *Server) ImportSessionAt(id string, epoch uint64, data []byte) (SessionFinal, error) {
-	s.replMu.Lock()
-	if fence := s.epochs[id]; epoch < fence {
-		s.replMu.Unlock()
-		s.metrics.replicaStaleEpochs.Inc()
-		return SessionFinal{}, fmt.Errorf("serve: import of %q at epoch %d, fence at %d: %w", id, epoch, fence, ErrStaleEpoch)
-	}
-	s.replMu.Unlock()
-	sess, err := s.decodeSessionBlob(id, data)
+	sess, err := s.materializeFenced("import", id, epoch, data, nil)
 	if err != nil {
 		return SessionFinal{}, err
 	}
-	s.replMu.Lock()
-	if fence := s.epochs[id]; epoch < fence {
-		s.replMu.Unlock()
-		s.releaseSessionStore(sess)
-		s.metrics.replicaStaleEpochs.Inc()
-		return SessionFinal{}, fmt.Errorf("serve: import of %q at epoch %d, fence at %d: %w", id, epoch, fence, ErrStaleEpoch)
-	}
-	if epoch > s.epochs[id] {
-		s.epochs[id] = epoch
-	}
-	s.replMu.Unlock()
 	// A live import supersedes any warm standby held for the ID (this
 	// server may have been the session's standby before becoming its
 	// owner); release it rather than strand its pattern storage.
 	s.DropStandby(id)
-	sess.restored = true
-	sess.touch()
+	s.publish(id, sess)
+	s.metrics.sessionsImported.Inc()
+	return sess.final(), nil
+}
+
+// materializeFenced materializes an exported checkpoint blob as session
+// id under the epoch fence, without publishing it: the import path
+// publishes it at once, the replication path parks it as a warm
+// standby. The fence is checked before the decode (cheap rejection of a
+// stale sender's late blob) and again under replMu afterwards (a
+// promotion may have raced the decode). Once the fence holds it is
+// raised to epoch and commit, when non-nil, runs under the same lock. A
+// corrupt or torn blob returns ErrSnapshotCorrupt; on any failure
+// nothing stays allocated.
+func (s *Server) materializeFenced(op, id string, epoch uint64, data []byte, commit func(*Session)) (*Session, error) {
+	s.replMu.Lock()
+	err := s.fenceLocked(op, id, epoch)
+	s.replMu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	sess, err := s.materialize(id, "", checkpoint{blob: data})
+	if err != nil {
+		if errors.Is(err, snapshot.ErrCorrupt) {
+			return nil, fmt.Errorf("serve: %s of session %q: %v: %w", op, id, err, ErrSnapshotCorrupt)
+		}
+		return nil, err
+	}
+	s.replMu.Lock()
+	if err := s.fenceLocked(op, id, epoch); err != nil {
+		s.replMu.Unlock()
+		s.releaseSessionStore(sess)
+		return nil, err
+	}
+	if epoch > s.epochs[id] {
+		s.epochs[id] = epoch
+	}
+	if commit != nil {
+		commit(sess)
+	}
+	s.replMu.Unlock()
+	return sess, nil
+}
+
+// fenceLocked fails with ErrStaleEpoch when epoch is below id's fence.
+// The caller holds replMu.
+func (s *Server) fenceLocked(op, id string, epoch uint64) error {
+	if fence := s.epochs[id]; epoch < fence {
+		s.metrics.replicaStaleEpochs.Inc()
+		return fmt.Errorf("serve: %s of %q at epoch %d, fence at %d: %w", op, id, epoch, fence, ErrStaleEpoch)
+	}
+	return nil
+}
+
+// publish makes a materialized or promoted session the live session for
+// id: it replaces any session already mapped under the ID (whose pool
+// namespace the new one took over; releasing still hands old's storage
+// back) and deletes the ID's disk checkpoint and frozen blob, which the
+// published state supersedes.
+func (s *Server) publish(id string, sess *Session) {
+	sess.touch() // a standby may have been parked for a while
 	if old := s.sessions.put(id, sess); old != nil {
-		// The import's namespace replaced old's under the same pool key;
-		// releasing still hands old's storage slabs back to the arena.
 		s.releaseSessionStore(old)
 		s.metrics.observeSessionEnd(old)
 	}
 	s.removeSnapshot(id)
-	s.metrics.sessionsImported.Inc()
-	return sess.final(), nil
+	s.store.Forget(poolKey(id))
 }
 
 // handleSessionExport is POST /admin/v1/sessions/{id}/export: the
@@ -151,14 +157,7 @@ func (s *Server) handleSessionExport(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	data, err := s.ExportSession(id)
 	if err != nil {
-		switch {
-		case errors.Is(err, ErrSessionNotFound):
-			WriteError(w, http.StatusNotFound, CodeSessionNotFound, "%v", err)
-		case errors.Is(err, ErrBadRequest):
-			WriteError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
-		default:
-			WriteError(w, http.StatusInternalServerError, CodeInternal, "%v", err)
-		}
+		writeTransferError(w, err, http.StatusInternalServerError, CodeInternal)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -188,17 +187,27 @@ func (s *Server) handleSessionImport(w http.ResponseWriter, r *http.Request) {
 	}
 	fin, err := s.ImportSessionAt(id, epoch, data)
 	if err != nil {
-		switch {
-		case errors.Is(err, ErrStaleEpoch):
-			WriteError(w, http.StatusConflict, CodeStaleEpoch, "%v", err)
-		case errors.Is(err, ErrSnapshotCorrupt):
-			WriteError(w, http.StatusUnprocessableEntity, CodeSnapshotCorrupt, "%v", err)
-		case errors.Is(err, ErrUnknownPredictor):
-			WriteError(w, http.StatusBadRequest, CodeUnknownPredictor, "%v", err)
-		default:
-			WriteError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
-		}
+		writeTransferError(w, err, http.StatusBadRequest, CodeBadRequest)
 		return
 	}
 	WriteJSON(w, http.StatusOK, fin)
+}
+
+// writeTransferError answers a failed session transfer (export, import,
+// standby install, promotion) with the status and envelope code of the
+// sentinel it wraps, or with status and code when it wraps none.
+func writeTransferError(w http.ResponseWriter, err error, status int, code string) {
+	switch {
+	case errors.Is(err, ErrStaleEpoch):
+		status, code = http.StatusConflict, CodeStaleEpoch
+	case errors.Is(err, ErrSnapshotCorrupt):
+		status, code = http.StatusUnprocessableEntity, CodeSnapshotCorrupt
+	case errors.Is(err, ErrUnknownPredictor):
+		status, code = http.StatusBadRequest, CodeUnknownPredictor
+	case errors.Is(err, ErrSessionNotFound):
+		status, code = http.StatusNotFound, CodeSessionNotFound
+	case errors.Is(err, ErrBadRequest):
+		status, code = http.StatusBadRequest, CodeBadRequest
+	}
+	WriteError(w, status, code, "%v", err)
 }

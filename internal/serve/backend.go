@@ -94,10 +94,7 @@ func (s *Server) AcquireSession(id, requested, fingerprint string) (sess *Sessio
 		// A spilled session resumes warm from the pool's frozen tier,
 		// then from its on-disk checkpoint; any restore failure (no
 		// state, corrupt bytes, predictor mismatch) cold-starts.
-		if ts, ok := s.thawSession(id, requested); ok {
-			return ts, nil
-		}
-		if rs, ok := s.restoreSession(id, requested); ok {
+		if rs, ok := s.resume(id, requested); ok {
 			return rs, nil
 		}
 		// requested != "" means the client explicitly named the spec; the
@@ -188,19 +185,21 @@ func (s *Server) ExecuteWireBatch(sess *Session, batchNum uint64, batch []core.B
 	return WireApplied, snap
 }
 
-// CloseSession removes a session and returns its final statistics,
-// deleting any on-disk checkpoint so a stale file cannot resurrect the
-// ID. ok is false when no such session exists.
+// CloseSession removes a session and returns its final statistics. It
+// deletes the ID's disk checkpoint and frozen blob even when the session
+// is not in memory, so stale state cannot resurrect the ID: a cold
+// session migrated away leaves nothing behind. ok is false when no such
+// session is live.
 func (s *Server) CloseSession(id string) (SessionFinal, bool) {
 	sess := s.sessions.remove(id)
+	s.removeSnapshot(id)
+	s.store.Forget(poolKey(id))
 	if sess == nil {
 		return SessionFinal{}, false
 	}
 	s.dropReplica(id)
-	s.removeSnapshot(id)
 	final := sess.final()
 	s.releaseSessionStore(sess)
-	s.store.Forget(poolKey(id))
 	s.metrics.sessionsClosed.Inc()
 	s.metrics.observeSessionEnd(sess)
 	return final, true

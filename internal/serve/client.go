@@ -328,7 +328,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 		}
 		c.nretries.Add(1)
 		select {
-		case <-time.After(c.backoff(attempt, retryAfter)):
+		case <-time.After(c.retry.Backoff(attempt, retryAfter)):
 		case <-ctx.Done():
 			// Surface the server's error, not the cancellation — it is
 			// the more diagnostic of the two.
@@ -395,18 +395,19 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 	return json.NewDecoder(resp.Body).Decode(out), false, 0
 }
 
-// backoff computes the wait before resend attempt+1: exponential from
-// BaseDelay, capped at MaxDelay, jittered, and never shorter than the
-// server's Retry-After hint.
-func (c *Client) backoff(attempt int, retryAfter time.Duration) time.Duration {
-	d := c.retry.BaseDelay
-	for i := 1; i < attempt && d < c.retry.MaxDelay; i++ {
+// Backoff computes the wait before resend attempt+1: exponential from
+// BaseDelay, capped at MaxDelay, jittered by Jitter, and never shorter
+// than the server's retryAfter hint. The HTTP and wire clients and the
+// cluster gateway's retry loops all wait through it.
+func (p RetryPolicy) Backoff(attempt int, retryAfter time.Duration) time.Duration {
+	d := p.BaseDelay
+	for i := 1; i < attempt && d < p.MaxDelay; i++ {
 		d *= 2
 	}
-	if d > c.retry.MaxDelay {
-		d = c.retry.MaxDelay
+	if d > p.MaxDelay {
+		d = p.MaxDelay
 	}
-	if j := c.retry.Jitter; j > 0 {
+	if j := p.Jitter; j > 0 {
 		d = time.Duration(float64(d) * (1 - j + 2*j*rand.Float64()))
 	}
 	if retryAfter > d {

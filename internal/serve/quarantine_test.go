@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"llbpx/internal/core"
 	"llbpx/internal/faults"
 )
 
@@ -134,7 +135,7 @@ func TestTransientRestoreFaultColdStartsWithoutQuarantine(t *testing.T) {
 	srv, client := testServer(t, cfg)
 
 	path := evictToDisk(t, srv, client, dir, "flaky")
-	// Armed only now: restoreSession also probes this site on the very
+	// Armed only now: resume also probes this site on the very
 	// first batch of a brand-new session, which would burn the one-shot
 	// error budget before the checkpoint exists.
 	inj.Set(FaultSnapshotRestore, faults.Rule{ErrRate: 1, MaxErrors: 1})
@@ -179,4 +180,96 @@ func TestCheckpointWriteRetriesTransientError(t *testing.T) {
 	if !resp.Created || !resp.Restored {
 		t.Fatalf("created=%v restored=%v, want a warm restore", resp.Created, resp.Restored)
 	}
+}
+
+// TestFailedCheckpointLeavesNoStaleState: a session whose checkpoint
+// fails every retry is dropped cold, so no older checkpoint of it may
+// survive to be restored. A leftover file can come from a thaw (the
+// session came back from the frozen tier, not from its file) or from an
+// earlier save the session outlived (a budget spill that was called
+// off). Either way, the next batch after the failed eviction must start
+// cold rather than resume from state several batches old.
+func TestFailedCheckpointLeavesNoStaleState(t *testing.T) {
+	branches := workloadBranches(t, "nodeapp", 20_000)
+	batch := func(i int) []core.Branch { return branches[i*500 : (i+1)*500] }
+	setup := func(t *testing.T, share bool) (*Server, *Client, *faults.Injector, string) {
+		dir := t.TempDir()
+		inj := faults.New(5)
+		srv, client := testServer(t, Config{
+			SnapshotDir: dir,
+			StoreShare:  share,
+			StoreBudget: 256 << 20,
+			SessionTTL:  time.Millisecond,
+			EvictEvery:  time.Hour,
+			Faults:      inj,
+		})
+		return srv, client, inj, filepath.Join(dir, "stale.snap")
+	}
+	predict := func(t *testing.T, client *Client, i int) *PredictResponse {
+		t.Helper()
+		resp, err := client.Predict(context.Background(), "stale", "llbp-x", batch(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	evict := func(t *testing.T, srv *Server) {
+		t.Helper()
+		time.Sleep(5 * time.Millisecond)
+		if n := srv.EvictIdle(); n != 1 {
+			t.Fatalf("evicted %d sessions, want 1", n)
+		}
+	}
+	// failEvict evicts the session with every checkpoint attempt failing
+	// and the frozen blob (if any) then lost; the next batch must be a
+	// cold start.
+	failEvict := func(t *testing.T, srv *Server, client *Client, inj *faults.Injector, path string, next int) {
+		t.Helper()
+		inj.Set(FaultSnapshotSave, faults.Rule{ErrRate: 1})
+		evict(t, srv)
+		inj.Clear(FaultSnapshotSave)
+		srv.Store().Forget(poolKey("stale"))
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("an older checkpoint survived a failed save (stat err %v)", err)
+		}
+		resp := predict(t, client, next)
+		if resp.Restored || resp.Stats.Batches != 1 {
+			t.Fatalf("after a failed checkpoint: restored=%v batches=%d, want a cold start (batches=1)",
+				resp.Restored, resp.Stats.Batches)
+		}
+	}
+
+	t.Run("thaw", func(t *testing.T) {
+		srv, client, inj, path := setup(t, true)
+		predict(t, client, 0)
+		evict(t, srv) // checkpoint to disk and freeze
+		if resp := predict(t, client, 1); !resp.Restored || resp.Stats.Batches != 2 {
+			t.Fatalf("second batch: restored=%v batches=%d, want a thaw (batches=2)", resp.Restored, resp.Stats.Batches)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("a thaw left the superseded disk checkpoint behind (stat err %v)", err)
+		}
+		predict(t, client, 2)
+		failEvict(t, srv, client, inj, path, 3)
+	})
+
+	t.Run("leftover", func(t *testing.T) {
+		srv, client, inj, path := setup(t, false)
+		predict(t, client, 0)
+		evict(t, srv)
+		old, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp := predict(t, client, 1); !resp.Restored {
+			t.Fatal("second batch did not restore from disk")
+		}
+		// A checkpoint the live session outlived, as an aborted spill
+		// leaves it.
+		if err := os.WriteFile(path, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		predict(t, client, 2)
+		failEvict(t, srv, client, inj, path, 3)
+	})
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -117,28 +116,13 @@ func (s *Server) InstallStandby(id string, data []byte) error {
 	if err != nil {
 		return fmt.Errorf("serve: standby install of %q: %v: %w", id, err, ErrSnapshotCorrupt)
 	}
-	s.replMu.Lock()
-	if fence := s.epochs[id]; epoch < fence {
-		s.replMu.Unlock()
-		s.metrics.replicaStaleEpochs.Inc()
-		return fmt.Errorf("serve: standby install of %q at epoch %d, fence at %d: %w", id, epoch, fence, ErrStaleEpoch)
-	}
-	s.replMu.Unlock()
-	sess, err := s.decodeSessionBlob(id, snap)
-	if err != nil {
+	var old *standbyEntry
+	if _, err := s.materializeFenced("standby install", id, epoch, snap, func(sess *Session) {
+		old = s.standbys[id]
+		s.standbys[id] = &standbyEntry{sess: sess, epoch: epoch}
+	}); err != nil {
 		return err
 	}
-	s.replMu.Lock()
-	if fence := s.epochs[id]; epoch < fence {
-		s.replMu.Unlock()
-		s.releaseSessionStore(sess)
-		s.metrics.replicaStaleEpochs.Inc()
-		return fmt.Errorf("serve: standby install of %q at epoch %d, fence at %d: %w", id, epoch, fence, ErrStaleEpoch)
-	}
-	old := s.standbys[id]
-	s.standbys[id] = &standbyEntry{sess: sess, epoch: epoch}
-	s.epochs[id] = epoch
-	s.replMu.Unlock()
 	if old != nil {
 		s.releaseSessionStore(old.sess)
 	}
@@ -156,10 +140,9 @@ func (s *Server) InstallStandby(id string, data []byte) error {
 // only the unshipped tail.
 func (s *Server) PromoteStandby(id string, epoch uint64) (SessionFinal, error) {
 	s.replMu.Lock()
-	if fence := s.epochs[id]; epoch < fence {
+	if err := s.fenceLocked("promote", id, epoch); err != nil {
 		s.replMu.Unlock()
-		s.metrics.replicaStaleEpochs.Inc()
-		return SessionFinal{}, fmt.Errorf("serve: promote of %q at epoch %d, fence at %d: %w", id, epoch, fence, ErrStaleEpoch)
+		return SessionFinal{}, err
 	}
 	ent := s.standbys[id]
 	if ent == nil {
@@ -169,16 +152,9 @@ func (s *Server) PromoteStandby(id string, epoch uint64) (SessionFinal, error) {
 	delete(s.standbys, id)
 	s.epochs[id] = epoch
 	s.replMu.Unlock()
-	sess := ent.sess
-	sess.restored = true
-	sess.touch()
-	if old := s.sessions.put(id, sess); old != nil {
-		s.releaseSessionStore(old)
-		s.metrics.observeSessionEnd(old)
-	}
-	s.removeSnapshot(id)
+	s.publish(id, ent.sess)
 	s.metrics.replicaPromotions.Inc()
-	return sess.final(), nil
+	return ent.sess.final(), nil
 }
 
 // DropStandby discards a session's warm standby (membership moved it
@@ -243,16 +219,7 @@ func (s *Server) handleStandbyInstall(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.InstallStandby(id, data); err != nil {
-		switch {
-		case errors.Is(err, ErrStaleEpoch):
-			WriteError(w, http.StatusConflict, CodeStaleEpoch, "%v", err)
-		case errors.Is(err, ErrSnapshotCorrupt):
-			WriteError(w, http.StatusUnprocessableEntity, CodeSnapshotCorrupt, "%v", err)
-		case errors.Is(err, ErrUnknownPredictor):
-			WriteError(w, http.StatusBadRequest, CodeUnknownPredictor, "%v", err)
-		default:
-			WriteError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
-		}
+		writeTransferError(w, err, http.StatusBadRequest, CodeBadRequest)
 		return
 	}
 	WriteJSON(w, http.StatusOK, replicaReply{Session: id})
@@ -272,14 +239,7 @@ func (s *Server) handleStandbyPromote(w http.ResponseWriter, r *http.Request) {
 	}
 	fin, err := s.PromoteStandby(id, req.Epoch)
 	if err != nil {
-		switch {
-		case errors.Is(err, ErrStaleEpoch):
-			WriteError(w, http.StatusConflict, CodeStaleEpoch, "%v", err)
-		case errors.Is(err, ErrSessionNotFound):
-			WriteError(w, http.StatusNotFound, CodeSessionNotFound, "%v", err)
-		default:
-			WriteError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
-		}
+		writeTransferError(w, err, http.StatusBadRequest, CodeBadRequest)
 		return
 	}
 	WriteJSON(w, http.StatusOK, fin)

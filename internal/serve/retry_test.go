@@ -273,3 +273,43 @@ func TestClientDrainsBodyForConnReuse(t *testing.T) {
 		t.Fatalf("%d TCP connections for 4 attempts, want 1 (bodies not drained?)", n)
 	}
 }
+
+// TestRetryPolicyBackoff pins the one backoff every retry loop waits
+// through: doubling from BaseDelay, the MaxDelay cap, the retryAfter
+// floor, and the jitter range.
+func TestRetryPolicyBackoff(t *testing.T) {
+	const ms = time.Millisecond
+	cases := []struct {
+		name       string
+		p          RetryPolicy
+		attempt    int
+		retryAfter time.Duration
+		lo, hi     time.Duration
+	}{
+		{"first step", RetryPolicy{BaseDelay: 10 * ms, MaxDelay: time.Second}, 1, 0, 10 * ms, 10 * ms},
+		{"doubles", RetryPolicy{BaseDelay: 10 * ms, MaxDelay: time.Second}, 4, 0, 80 * ms, 80 * ms},
+		{"capped", RetryPolicy{BaseDelay: 10 * ms, MaxDelay: 50 * ms}, 10, 0, 50 * ms, 50 * ms},
+		{"cap below base", RetryPolicy{BaseDelay: 80 * ms, MaxDelay: 50 * ms}, 1, 0, 50 * ms, 50 * ms},
+		{"hint floors", RetryPolicy{BaseDelay: 10 * ms, MaxDelay: 50 * ms}, 2, 300 * ms, 300 * ms, 300 * ms},
+		{"hint below delay", RetryPolicy{BaseDelay: 10 * ms, MaxDelay: 50 * ms}, 3, 5 * ms, 40 * ms, 40 * ms},
+		{"jitter range", RetryPolicy{BaseDelay: 100 * ms, MaxDelay: time.Second, Jitter: 0.2}, 2, 0, 160 * ms, 240 * ms},
+		{"jitter then cap", RetryPolicy{BaseDelay: 100 * ms, MaxDelay: 150 * ms, Jitter: 0.5}, 5, 0, 75 * ms, 225 * ms},
+		{"jitter under hint", RetryPolicy{BaseDelay: 100 * ms, MaxDelay: time.Second, Jitter: 0.2}, 1, time.Second, time.Second, time.Second},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var spread bool
+			first := tc.p.Backoff(tc.attempt, tc.retryAfter)
+			for i := 0; i < 200; i++ {
+				d := tc.p.Backoff(tc.attempt, tc.retryAfter)
+				if d < tc.lo || d > tc.hi {
+					t.Fatalf("Backoff(%d, %v) = %v, want within [%v, %v]", tc.attempt, tc.retryAfter, d, tc.lo, tc.hi)
+				}
+				spread = spread || d != first
+			}
+			if jittered := tc.lo != tc.hi; spread != jittered {
+				t.Errorf("spread over 200 draws = %v, want %v", spread, jittered)
+			}
+		})
+	}
+}

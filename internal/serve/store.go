@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"strings"
 	"time"
 
@@ -14,7 +13,8 @@ import (
 // session teardown releases it, and budget pressure spills the
 // least-recently-used idle sessions — checkpoint to disk, freeze the
 // predictor blob into the pool's frozen tier, hand the storage slabs
-// back. Frozen state thaws transparently on the session's next batch.
+// back. Frozen state thaws transparently on the session's next batch
+// (resume, through the same materialize as every other restore).
 //
 // The bit-exactness contract lives one layer down: a namespace only ever
 // exposes recycled slabs as raw capacity (fully re-initialized before
@@ -84,27 +84,12 @@ func (s *Server) releaseSessionStore(sess *Session) {
 	s.store.Detach(ns)
 }
 
-// frozenHeader is the JSON session metadata stored alongside a frozen
-// predictor blob. The blob itself holds only predictor state, so two
-// sessions at identical predictor state dedup to one body even though
-// their statistics differ.
-type frozenHeader struct {
-	Predictor     string `json:"predictor"`
-	Fingerprint   string `json:"fingerprint,omitempty"`
-	Instructions  uint64 `json:"instructions"`
-	CondBranches  uint64 `json:"cond_branches"`
-	Mispredicts   uint64 `json:"mispredicts"`
-	UncondCount   uint64 `json:"uncond_branches"`
-	SecondLevelOK uint64 `json:"second_level_ok"`
-	Overrides     uint64 `json:"overrides"`
-	Batches       uint64 `json:"batches"`
-	WireSeq       uint64 `json:"wire_seq"`
-}
-
-// freezeSession serializes a session's predictor into the pool's frozen
-// tier (only when sharing is enabled — without it the on-disk checkpoint
-// is strictly better: same bytes, no budget charge). The session lock is
-// held across the serialization, so the blob is a consistent
+// freezeSession serializes a session into the pool's frozen tier (only
+// when sharing is enabled — without it the on-disk checkpoint is
+// strictly better: same bytes, no budget charge). The session header and
+// the predictor are frozen as two blobs, so the pool can share one body
+// between sessions at identical predictor state. The session lock is
+// held across the serialization, so the blobs are a consistent
 // between-batches cut even for a session still reachable from the shard
 // map; a caller freezing a mapped session owns the staleness problem
 // (see reclaimStore).
@@ -112,75 +97,15 @@ func (s *Server) freezeSession(sess *Session) {
 	if !s.cfg.StoreShare || sess.ns == nil {
 		return
 	}
-	if _, ok := sess.pred.(snapshot.State); !ok {
+	pred, ok := sess.pred.(snapshot.State)
+	if !ok {
 		return
 	}
 	sess.mu.Lock()
-	hdr, err := json.Marshal(frozenHeader{
-		Predictor:     sess.PredictorName,
-		Fingerprint:   sess.Fingerprint,
-		Instructions:  sess.stats.Instructions,
-		CondBranches:  sess.stats.CondBranches,
-		Mispredicts:   sess.stats.Mispredicts,
-		UncondCount:   sess.stats.UncondCount,
-		SecondLevelOK: sess.stats.SecondLevelOK,
-		Overrides:     sess.stats.Overrides,
-		Batches:       sess.batches,
-		WireSeq:       sess.wireSeq,
-	})
-	if err != nil {
-		sess.mu.Unlock()
-		return
-	}
-	body := snapshot.Encode(sess.PredictorName, sess.pred.(snapshot.State))
+	hdr := snapshot.Encode(sess.PredictorName, sessionHeader{sess})
+	body := snapshot.Encode(sess.PredictorName, pred)
 	sess.mu.Unlock()
 	s.store.Freeze(poolKey(sess.ID), sess.Fingerprint, hdr, body)
-}
-
-// thawSession rebuilds a session from the pool's frozen tier. want is the
-// client's explicitly requested predictor ("" accepts whatever is
-// frozen). Like restoreSession, any failure cold-starts the session —
-// frozen state is a cache. Thaw consumes the blob, so a declined restore
-// (predictor mismatch) re-freezes the taken bytes to keep the state warm.
-func (s *Server) thawSession(id, want string) (*Session, bool) {
-	hdrBytes, body, ok := s.store.Thaw(poolKey(id))
-	if !ok {
-		return nil, false
-	}
-	var hdr frozenHeader
-	if json.Unmarshal(hdrBytes, &hdr) != nil || hdr.Predictor == "" {
-		return nil, false
-	}
-	if want != "" && want != hdr.Predictor {
-		s.store.Freeze(poolKey(id), hdr.Fingerprint, hdrBytes, body)
-		return nil, false
-	}
-	sess, err := s.newSession(id, hdr.Predictor, hdr.Fingerprint, false)
-	if err != nil {
-		return nil, false
-	}
-	st, ok := sess.pred.(snapshot.State)
-	if !ok {
-		s.releaseSessionStore(sess)
-		return nil, false
-	}
-	if _, _, err := snapshot.Decode(body, func(string) (snapshot.State, error) {
-		return st, nil
-	}); err != nil {
-		s.releaseSessionStore(sess)
-		return nil, false
-	}
-	sess.stats.Instructions = hdr.Instructions
-	sess.stats.CondBranches = hdr.CondBranches
-	sess.stats.Mispredicts = hdr.Mispredicts
-	sess.stats.UncondCount = hdr.UncondCount
-	sess.stats.SecondLevelOK = hdr.SecondLevelOK
-	sess.stats.Overrides = hdr.Overrides
-	sess.batches = hdr.Batches
-	sess.wireSeq = hdr.WireSeq
-	sess.restored = true
-	sess.touch()
-	return sess, true
 }
 
 // retireSessions is eviction-side teardown for sessions already removed

@@ -345,3 +345,67 @@ func TestStoreConcurrentChurn(t *testing.T) {
 			pool.AttachedBytes(), pool.ArenaBytes(), pool.FrozenBytes())
 	}
 }
+
+// TestStoreThawDeclineKeepsFrozenState: a batch that names another
+// predictor than a frozen session holds declines the thaw and starts
+// cold, but the frozen state goes back into the pool under the
+// fingerprint it was shared under, and a later batch naming the
+// original predictor still resumes it warm.
+func TestStoreThawDeclineKeepsFrozenState(t *testing.T) {
+	registerTiny(t)
+	const instrBudget = 12_000
+	branches := workloadBranches(t, "whiskey", instrBudget)
+	p, err := NewPredictor("llbp-tiny")
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := sim.Run(p, core.NewSliceSource(branches), sim.Options{MeasureInstr: instrBudget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{StoreBudget: 256 << 20, StoreShare: true, SessionTTL: time.Millisecond, EvictEvery: time.Hour})
+	defer srv.Close()
+	batch := func(id, predictor string, bs []core.Branch) (restored bool) {
+		t.Helper()
+		sess, _, restored, err := srv.AcquireSession(id, predictor, "whiskey")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.ExecuteWireBatch(sess, 0, bs, make([]core.Prediction, len(bs)), 0)
+		srv.ReleaseSessionRef(sess)
+		return restored
+	}
+	evict := func(want int) {
+		t.Helper()
+		time.Sleep(5 * time.Millisecond)
+		if n := srv.EvictIdle(); n != want {
+			t.Fatalf("evicted %d sessions, want %d", n, want)
+		}
+	}
+	half := len(branches) / 2
+	batch("a", "llbp-tiny", branches[:half])
+	batch("b", "llbp-tiny", branches[:half])
+	evict(2)
+	if hits := srv.Stats().StoreDedupHits; hits != 1 {
+		t.Fatalf("dedup hits = %d after freezing twins, want 1", hits)
+	}
+	if batch("a", "tsl-8k", branches[:100]) {
+		t.Fatal("a batch naming another predictor resumed the frozen llbp-tiny state")
+	}
+	if hits := srv.Stats().StoreDedupHits; hits != 2 {
+		t.Errorf("dedup hits = %d after the declined thaw, want 2 (re-frozen under its fingerprint)", hits)
+	}
+	evict(1) // the cold tsl-8k session has no pooled state to freeze
+	if !batch("a", "llbp-tiny", branches[half:]) {
+		t.Fatal("the original predictor did not resume warm after a declined thaw")
+	}
+	sess, _, _, err := srv.AcquireSession("a", "llbp-tiny", "whiskey")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := sess.snapshot()
+	srv.ReleaseSessionRef(sess)
+	if got.MPKI != local.MPKI() || got.Batches != 2 {
+		t.Errorf("after the declined thaw: MPKI %v over %d batches, local sim %v over 2", got.MPKI, got.Batches, local.MPKI())
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -109,25 +108,6 @@ func (c *Client) maxAttempts() int {
 		return c.retry.MaxAttempts
 	}
 	return 1
-}
-
-// backoff computes the wait before resend attempt+1: exponential from
-// BaseDelay, capped, jittered, never shorter than the server's hint.
-func (c *Client) backoff(attempt int, retryAfter time.Duration) time.Duration {
-	d := c.retry.BaseDelay
-	for i := 1; i < attempt && d < c.retry.MaxDelay; i++ {
-		d *= 2
-	}
-	if d > c.retry.MaxDelay {
-		d = c.retry.MaxDelay
-	}
-	if j := c.retry.Jitter; j > 0 {
-		d = time.Duration(float64(d) * (1 - j + 2*j*rand.Float64()))
-	}
-	if retryAfter > d {
-		d = retryAfter
-	}
-	return d
 }
 
 // currentConn returns the connection as-is (possibly nil or dead),
@@ -338,7 +318,7 @@ func (c *Client) CloseSession(ctx context.Context, session string) (string, Wire
 		}
 		c.nretries.Add(1)
 		select {
-		case <-time.After(c.backoff(attempt, retryAfter)):
+		case <-time.After(c.retry.Backoff(attempt, retryAfter)):
 		case <-ctx.Done():
 			return "", WireStats{}, err
 		}

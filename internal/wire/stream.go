@@ -201,7 +201,7 @@ func (s *Stream) ackHead(ctx context.Context) error {
 		}
 		s.c.nretries.Add(1)
 		select {
-		case <-time.After(s.c.backoff(sl.attempts, retryAfter)):
+		case <-time.After(s.c.retry.Backoff(sl.attempts, retryAfter)):
 		case <-ctx.Done():
 			return ctx.Err()
 		}
