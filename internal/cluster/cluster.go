@@ -236,8 +236,8 @@ type Gateway struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
-	connMu sync.Mutex
-	conns  map[*gwConn]struct{}
+	// ws is the wire frontend's connection pipeline (ServeWire).
+	ws *wire.Server
 }
 
 // New builds a Gateway over the configured backends and starts its
@@ -254,11 +254,11 @@ func New(cfg Config) (*Gateway, error) {
 		ring:     hashutil.NewRing(cfg.VNodes),
 		backends: make(map[string]*backendState),
 		sessions: make(map[string]*gwSession),
-		conns:    make(map[*gwConn]struct{}),
 		ctx:      ctx,
 		cancel:   cancel,
 	}
 	g.metrics = newGwMetrics(g)
+	g.ws = wire.NewHandlerServer(wireHandler{g}, cfg.MaxBatch, &g.metrics.wire, wire.Config{})
 	g.mux = g.buildMux()
 	for _, b := range cfg.Backends {
 		if err := g.AddBackend(b); err != nil {
@@ -466,11 +466,7 @@ func (g *Gateway) Close() {
 	g.closed = true
 	g.mu.Unlock()
 	g.cancel()
-	g.connMu.Lock()
-	for c := range g.conns {
-		c.die()
-	}
-	g.connMu.Unlock()
+	g.ws.Close()
 	g.wg.Wait()
 	g.mu.Lock()
 	for _, bs := range g.backends {
@@ -544,7 +540,7 @@ func (g *Gateway) Stats() ClusterStats {
 		CursorResyncs:   m.cursorResyncs.Value(),
 		Migrations:      m.migrations.Value(),
 		MigrationErrors: m.migrationErrors.Value(),
-		WireConns:       m.conns.Value(),
+		WireConns:       m.wire.Conns.Value(),
 		Promotions:      m.promotions.Value(),
 		PromotionErrors: m.promotionErrors.Value(),
 		ReplicaSyncs:    m.replicaSyncs.Value(),

@@ -266,7 +266,7 @@ func (g *Gateway) forward(ctx context.Context, gs *gwSession, predictor string, 
 				bs.leaving.Store(true)
 				g.markDead(bs)
 				continue
-			case ne.Code == wire.CodeOutOfOrder && assign:
+			case ne.Code == serve.CodeOutOfOrder && assign:
 				// The owner's cursor is behind the gateway's assignment
 				// (fresh import raced a resend); reprobe and fill the gap.
 				gs.next = 0
@@ -282,6 +282,20 @@ func (g *Gateway) forward(ctx context.Context, gs *gwSession, predictor string, 
 		g.noteFailure(bs)
 	}
 	return false, lastErr
+}
+
+// predict routes one batch for session id from either frontend: it
+// looks up (or creates) the session's routing record, holds its lock
+// across the forward — the quiesce point a migration waits on — and
+// refuses a session that was closed.
+func (g *Gateway) predict(ctx context.Context, id, predictor string, batchNum uint64, batch []core.Branch, ok *wire.PredictOK) (duplicate bool, err error) {
+	gs := g.session(id, true)
+	gs.mu.Lock()
+	defer gs.mu.Unlock()
+	if gs.closed {
+		return false, &wire.NackError{Code: serve.CodeSessionNotFound, Message: fmt.Sprintf("session %q is closed", id)}
+	}
+	return g.forward(ctx, gs, predictor, batchNum, batch, ok)
 }
 
 // closeSession closes the session on its owner and forgets the route. A

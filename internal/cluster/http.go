@@ -111,15 +111,8 @@ func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	defer call.Release()
 
-	gs := g.session(id, true)
-	gs.mu.Lock()
-	defer gs.mu.Unlock()
-	if gs.closed {
-		serve.WriteError(w, http.StatusNotFound, serve.CodeSessionNotFound, "session %q is closed", id)
-		return
-	}
 	var ok wire.PredictOK
-	dup, err := g.forward(r.Context(), gs, call.Predictor, 0, call.Branches, &ok)
+	dup, err := g.predict(r.Context(), id, call.Predictor, 0, call.Branches, &ok)
 	if err != nil {
 		writeForwardError(w, err)
 		return

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"llbpx/internal/obs"
+	"llbpx/internal/serve"
 )
 
 // latencyBuckets mirrors internal/serve: power-of-two microsecond
@@ -26,13 +27,17 @@ type gwMetrics struct {
 	cursorResyncs   *obs.Counter // gateway-assigned cursors resynchronized from owner stats
 	migrations      *obs.Counter // live session transfers completed
 	migrationErrors *obs.Counter // relocations whose transfer attempts were exhausted
-	conns           *obs.Counter // wire frontend connections accepted
 	promotions      *obs.Counter // standby promotions completed (warm failovers)
 	promotionErrors *obs.Counter // promotions abandoned to a bare reroute
 	replicaSyncs    *obs.Counter // standby placements (re)asserted on primaries
 	replayedBatches *obs.Counter // tail batches replayed into promoted standbys
 
 	migrationDur *obs.Histogram // completed migration duration, µs
+
+	// wire is the wire frontend's pipeline metrics. Only Conns (wire
+	// frontend connections accepted) is exported; the rest stay
+	// unregistered.
+	wire serve.WireMetrics
 }
 
 func newGwMetrics(g *Gateway) *gwMetrics {
@@ -48,13 +53,22 @@ func newGwMetrics(g *Gateway) *gwMetrics {
 		cursorResyncs:   reg.Counter("cursor_resyncs_total"),
 		migrations:      reg.Counter("migrations_total"),
 		migrationErrors: reg.Counter("migration_errors_total"),
-		conns:           reg.Counter("wire_conns_total"),
 		promotions:      reg.Counter("promotions_total"),
 		promotionErrors: reg.Counter("promotion_errors_total"),
 		replicaSyncs:    reg.Counter("replica_syncs_total"),
 		replayedBatches: reg.Counter("replica_replayed_batches_total"),
 
 		migrationDur: reg.Histogram("migration_duration_us", latencyBuckets),
+
+		wire: serve.WireMetrics{
+			Conns:        reg.Counter("wire_conns_total"),
+			FramesRx:     new(obs.Counter),
+			FramesTx:     new(obs.Counter),
+			BytesRx:      new(obs.Counter),
+			BytesTx:      new(obs.Counter),
+			Nacks:        new(obs.Counter),
+			FrameLatency: obs.NewHistogram(latencyBuckets),
+		},
 	}
 	reg.GaugeFunc("uptime_seconds", func() float64 { return time.Since(m.start).Seconds() })
 	reg.GaugeFunc("sessions_known", func() float64 {

@@ -1,14 +1,12 @@
 package cluster
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"net"
-	"sync"
 	"time"
 
-	"llbpx/internal/hashutil"
+	"llbpx/internal/core"
 	"llbpx/internal/serve"
 	"llbpx/internal/wire"
 )
@@ -17,254 +15,55 @@ import (
 //
 // The gateway also speaks the binary protocol upstream, so wire clients
 // (llbpload -proto binary, wire.Stream users) point at the cluster
-// unchanged. Upstream batch numbers pass through verbatim — the client
-// owns its cursor, and the downstream owner's duplicate/out-of-order
-// verdicts relay back untouched, which is exactly what makes the
-// client's pipelined recovery work across a mid-stream migration.
-// Responses are relayed with AppendPredictOKRaw: the decoded downstream
-// vectors are re-framed under the upstream sequence number without
-// re-encoding the batch.
-
-const (
-	wireExecShards     = 4
-	wireHandshakeWait  = 5 * time.Second
-	wireFrontendWindow = 64 // queued jobs per conn before the reader blocks
-)
-
-// gwConn is one upstream wire connection: a reader decoding frames, a
-// small executor pool sharded by session (preserving per-session order),
-// and a write mutex serializing response frames.
-type gwConn struct {
-	g *Gateway
-	c net.Conn
-
-	wmu sync.Mutex
-
-	execq  []chan *gwJob
-	execWg sync.WaitGroup
-
-	quit chan struct{}
-	kill sync.Once
-}
-
-// gwJob is one upstream request frame being forwarded.
-type gwJob struct {
-	seq      uint64
-	typ      byte
-	session  string
-	pred     string
-	batchNum uint64
-	batch    []byte // raw payload copy for Predict re-decode in the executor
-}
+// unchanged. It runs on wire.Server's connection pipeline, the same one
+// llbpd's listener uses, with wireHandler as the execution step.
+// Upstream batch numbers pass through verbatim — the client owns its
+// cursor, and the downstream owner's duplicate/out-of-order verdicts
+// relay back untouched, which is exactly what makes the client's
+// pipelined recovery work across a mid-stream migration. Responses are
+// relayed with AppendPredictOKRaw: the decoded downstream vectors are
+// re-framed under the upstream sequence number without re-encoding the
+// batch.
 
 // ServeWire accepts upstream binary-protocol connections on ln until the
 // listener closes (or the gateway does).
 func (g *Gateway) ServeWire(ln net.Listener) error {
-	for {
-		c, err := ln.Accept()
-		if err != nil {
-			select {
-			case <-g.ctx.Done():
-				return nil
-			default:
-			}
-			if errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		g.mu.Lock()
-		closed := g.closed
-		if !closed {
-			g.wg.Add(1)
-		}
-		g.mu.Unlock()
-		if closed {
-			c.Close()
-			return nil
-		}
-		g.metrics.conns.Inc()
-		go func() {
-			defer g.wg.Done()
-			g.serveConn(c)
-		}()
+	if err := g.ws.Serve(ln); !errors.Is(err, net.ErrClosed) {
+		return err
 	}
+	return nil
 }
 
-func (g *Gateway) serveConn(c net.Conn) {
-	defer c.Close()
-	if err := wire.AcceptHandshake(c, wireHandshakeWait); err != nil {
-		return
-	}
-	wc := &gwConn{g: g, c: c, quit: make(chan struct{})}
-	wc.execq = make([]chan *gwJob, wireExecShards)
-	for i := range wc.execq {
-		wc.execq[i] = make(chan *gwJob, wireFrontendWindow)
-		wc.execWg.Add(1)
-		go wc.executor(wc.execq[i])
-	}
-	g.connMu.Lock()
-	g.conns[wc] = struct{}{}
-	g.connMu.Unlock()
+// wireHandler is the gateway's wire.Handler: forward each batch to the
+// session's owner, or close the session there, and relay the answer.
+// Both run under the gateway's context rather than the connection's, so
+// an upstream hang-up never cuts a forward short after the owner may
+// have applied it.
+type wireHandler struct{ g *Gateway }
 
-	wc.readLoop()
-
-	for _, q := range wc.execq {
-		close(q)
-	}
-	wc.execWg.Wait()
-	g.connMu.Lock()
-	delete(g.conns, wc)
-	g.connMu.Unlock()
-}
-
-// die tears the connection down (gateway close): the blocked reader and
-// any in-flight writes fail fast.
-func (wc *gwConn) die() {
-	wc.kill.Do(func() {
-		close(wc.quit)
-		wc.c.Close()
-	})
-}
-
-// readLoop decodes upstream frames and dispatches them. Malformed
-// streams kill the connection — resynchronizing a corrupt length-
-// prefixed stream is not possible.
-func (wc *gwConn) readLoop() {
-	br := bufio.NewReaderSize(wc.c, 256<<10)
-	var buf []byte
-	for {
-		body, nbuf, _, err := wire.ReadFrame(br, buf)
-		if err != nil {
-			wc.die()
-			return
-		}
-		buf = nbuf
-		typ, seq, payload, err := wire.ParseHeader(body)
-		if err != nil {
-			wc.die()
-			return
-		}
-		switch typ {
-		case wire.FramePing:
-			wc.write(wire.AppendPong(nil, seq))
-		case wire.FramePredict:
-			var pr wire.Predict
-			if err := wire.DecodePredict(payload, &pr, wc.g.cfg.MaxBatch); err != nil {
-				wc.respondNack(seq, serve.CodeBadRequest, err.Error(), false, 0)
-				continue
-			}
-			// Copy the payload: the executor re-decodes it after the read
-			// buffer has moved on to the next frame.
-			j := &gwJob{seq: seq, typ: typ, session: string(pr.Session),
-				pred: string(pr.Predictor), batchNum: pr.BatchNum,
-				batch: append([]byte(nil), payload...)}
-			if !wc.dispatch(j) {
-				return
-			}
-		case wire.FrameClose:
-			var cl wire.Close
-			if err := wire.DecodeClose(payload, &cl); err != nil {
-				wc.respondNack(seq, serve.CodeBadRequest, err.Error(), false, 0)
-				continue
-			}
-			j := &gwJob{seq: seq, typ: typ, session: string(cl.Session)}
-			if !wc.dispatch(j) {
-				return
-			}
-		default:
-			wc.respondNack(seq, serve.CodeBadRequest, "unknown frame type", false, 0)
-		}
-	}
-}
-
-// dispatch hands a job to the session's executor shard, preserving
-// per-session frame order.
-func (wc *gwConn) dispatch(j *gwJob) bool {
-	q := wc.execq[hashutil.FNV1a(j.session)%uint64(len(wc.execq))]
-	select {
-	case q <- j:
-		return true
-	case <-wc.quit:
-		return false
-	}
-}
-
-func (wc *gwConn) executor(q <-chan *gwJob) {
-	defer wc.execWg.Done()
-	for j := range q {
-		select {
-		case <-wc.quit:
-			continue // drain without executing
-		default:
-		}
-		switch j.typ {
-		case wire.FramePredict:
-			wc.execPredict(j)
-		case wire.FrameClose:
-			wc.execClose(j)
-		}
-	}
-}
-
-func (wc *gwConn) execPredict(j *gwJob) {
-	g := wc.g
-	var pr wire.Predict
-	if err := wire.DecodePredict(j.batch, &pr, g.cfg.MaxBatch); err != nil {
-		wc.respondNack(j.seq, serve.CodeBadRequest, err.Error(), false, 0)
-		return
-	}
-	gs := g.session(j.session, true)
-	gs.mu.Lock()
-	defer gs.mu.Unlock()
-	if gs.closed {
-		wc.respondNack(j.seq, serve.CodeSessionNotFound, "session is closed", false, 0)
-		return
-	}
+func (h wireHandler) Predict(_ context.Context, dst []byte, seq uint64, p *wire.Predict, _ []core.Prediction) []byte {
 	var ok wire.PredictOK
-	if _, err := g.forward(g.ctx, gs, j.pred, j.batchNum, pr.Branches, &ok); err != nil {
-		var ne *wire.NackError
-		if errors.As(err, &ne) {
-			wc.respondNack(j.seq, ne.Code, ne.Message, ne.Retryable, ne.RetryAfter)
-			return
-		}
-		wc.respondNack(j.seq, serve.CodeInternal, err.Error(), false, 0)
-		return
+	if _, err := h.g.predict(h.g.ctx, string(p.Session), string(p.Predictor), p.BatchNum, p.Branches, &ok); err != nil {
+		return appendNack(dst, seq, err)
 	}
-	// Relay the downstream response under the upstream sequence number —
-	// byte-identical content, no re-encode of the batch.
-	wc.write(wire.AppendPredictOKRaw(nil, j.seq, ok.Flags, ok.Predictor, ok.N,
-		ok.Cond, ok.Taken, ok.Correct, ok.Second, ok.Stats))
+	return wire.AppendPredictOKRaw(dst, seq, ok.Flags, ok.Predictor, ok.N,
+		ok.Cond, ok.Taken, ok.Correct, ok.Second, ok.Stats)
 }
 
-func (wc *gwConn) execClose(j *gwJob) {
-	g := wc.g
-	ctx, cancel := context.WithTimeout(g.ctx, g.cfg.ForwardTimeout)
-	pred, st, err := g.closeSession(ctx, j.session)
-	cancel()
+func (h wireHandler) Close(_ context.Context, dst []byte, seq uint64, session string) []byte {
+	ctx, cancel := context.WithTimeout(h.g.ctx, h.g.cfg.ForwardTimeout)
+	defer cancel()
+	pred, st, err := h.g.closeSession(ctx, session)
 	if err != nil {
-		var ne *wire.NackError
-		if errors.As(err, &ne) {
-			wc.respondNack(j.seq, ne.Code, ne.Message, ne.Retryable, ne.RetryAfter)
-			return
-		}
-		wc.respondNack(j.seq, serve.CodeInternal, err.Error(), false, 0)
-		return
+		return appendNack(dst, seq, err)
 	}
-	wc.write(wire.AppendCloseOK(nil, j.seq, pred, st))
+	return wire.AppendCloseOK(dst, seq, pred, st)
 }
 
-func (wc *gwConn) respondNack(seq uint64, code, msg string, retryable bool, after time.Duration) {
-	wc.write(wire.AppendNack(nil, seq, code, msg, retryable, uint64(after/time.Millisecond)))
-}
-
-// write emits one response frame as one Write under the conn's write
-// lock, so concurrent executors never interleave frame bytes.
-func (wc *gwConn) write(frame []byte) {
-	wc.wmu.Lock()
-	_, err := wc.c.Write(frame)
-	wc.wmu.Unlock()
-	if err != nil {
-		wc.die()
-	}
+// appendNack relays a downstream NACK as-is; any other failure is an
+// internal error.
+func appendNack(dst []byte, seq uint64, err error) []byte {
+	ne := &wire.NackError{Code: serve.CodeInternal, Message: err.Error()}
+	errors.As(err, &ne)
+	return wire.AppendNack(dst, seq, ne.Code, ne.Message, ne.Retryable, uint64(ne.RetryAfter/time.Millisecond))
 }

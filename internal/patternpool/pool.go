@@ -310,6 +310,18 @@ func (p *Pool) Thaw(k Key) (header, body []byte, ok bool) {
 	return e.header, body, true
 }
 
+// Peek returns the frozen blob for k without removing it. ok is false
+// when no blob is cached.
+func (p *Pool) Peek(k Key) (header, body []byte, ok bool) {
+	p.frozenMu.Lock()
+	defer p.frozenMu.Unlock()
+	e := p.frozen[k]
+	if e == nil {
+		return nil, nil, false
+	}
+	return e.header, p.bodies[e.bodyKey].data, true
+}
+
 // Forget drops any frozen blob for k without restoring it (session
 // closed for good).
 func (p *Pool) Forget(k Key) {

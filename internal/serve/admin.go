@@ -27,30 +27,40 @@ import (
 // state — as a self-validating snapshot blob. A live session is
 // serialized under its lock (a consistent between-batches cut: callers
 // that need the cursor frozen must quiesce the stream first, which the
-// gateway does). A session that is not in memory but has an on-disk
-// checkpoint exports that file's bytes verbatim; the blob's own CRC
-// protects the transfer either way.
+// gateway does). A session that is not in memory exports from where
+// resume would bring it back: the pool's frozen tier, then its on-disk
+// checkpoint (whose bytes go out verbatim). The frozen blob stays in the
+// pool, so a failed import can be retried with a fresh export; only
+// CloseSession drops it. The blob's own CRC protects the transfer.
 func (s *Server) ExportSession(id string) ([]byte, error) {
-	if sess := s.sessions.get(id); sess != nil {
-		if _, ok := sess.pred.(snapshot.State); !ok {
-			return nil, fmt.Errorf("serve: predictor %q does not support snapshots: %w", sess.PredictorName, ErrBadRequest)
+	sess := s.sessions.get(id)
+	if sess == nil {
+		// Not in memory: the gateway migrates cold sessions too, so their
+		// warm state follows them instead of being orphaned here.
+		if hdr, body, ok := s.store.Peek(poolKey(id)); ok {
+			if frozen, err := s.materialize(id, "", checkpoint{blob: hdr, body: body}); err == nil {
+				defer s.releaseSessionStore(frozen)
+				sess = frozen
+			}
 		}
-		sess.mu.Lock()
-		blob := snapshot.Encode(sess.PredictorName, sessionState{sess})
-		sess.mu.Unlock()
-		s.metrics.sessionsExported.Inc()
-		return blob, nil
 	}
-	// Not in memory: an evicted-to-disk checkpoint is still exportable
-	// (the gateway migrates cold sessions too, so their warm state follows
-	// them instead of being orphaned on the old owner).
-	if s.cfg.SnapshotDir != "" {
+	if sess == nil && s.cfg.SnapshotDir != "" {
 		if data, err := os.ReadFile(s.snapPath(id)); err == nil {
 			s.metrics.sessionsExported.Inc()
 			return data, nil
 		}
 	}
-	return nil, fmt.Errorf("serve: no session %q: %w", id, ErrSessionNotFound)
+	if sess == nil {
+		return nil, fmt.Errorf("serve: no session %q: %w", id, ErrSessionNotFound)
+	}
+	if _, ok := sess.pred.(snapshot.State); !ok {
+		return nil, fmt.Errorf("serve: predictor %q does not support snapshots: %w", sess.PredictorName, ErrBadRequest)
+	}
+	sess.mu.Lock()
+	blob := snapshot.Encode(sess.PredictorName, sessionState{sess})
+	sess.mu.Unlock()
+	s.metrics.sessionsExported.Inc()
+	return blob, nil
 }
 
 // ImportSession installs an exported checkpoint blob as live session id,

@@ -174,14 +174,18 @@ func TestAdminExportPreservesWireCursor(t *testing.T) {
 	srvB, _ := testServer(t, Config{})
 	branches := workloadBranches(t, "nodeapp", 20_000)
 
-	sess, _, _, err := srvA.AcquireSession("seq", "tsl-8k", "")
-	if err != nil {
-		t.Fatal(err)
-	}
 	preds := make([]core.Prediction, len(branches))
+	predict := func(srv *Server, predictor string, num uint64) PredictResponse {
+		t.Helper()
+		resp, aerr := srv.Predict(context.Background(), Batch{Session: "seq", Predictor: predictor, Num: num, Branches: branches}, preds)
+		if aerr != nil {
+			t.Fatalf("batch %d: %v", num, aerr)
+		}
+		return resp
+	}
 	for num := uint64(1); num <= 3; num++ {
-		if st, _ := srvA.ExecuteWireBatch(sess, num, branches, preds, 0); st != WireApplied {
-			t.Fatalf("batch %d: status %v", num, st)
+		if predict(srvA, "tsl-8k", num).Duplicate {
+			t.Fatalf("batch %d answered as a duplicate", num)
 		}
 	}
 	blob, err := srvA.ExportSession("seq")
@@ -196,14 +200,63 @@ func TestAdminExportPreservesWireCursor(t *testing.T) {
 		t.Fatalf("imported wire cursor %d, want 3", fin.Stats.WireCursor)
 	}
 	// A resend of batch 3 on the new owner is a duplicate; batch 4 applies.
-	moved, _, _, err := srvB.AcquireSession("seq", "", "")
+	if !predict(srvB, "", 3).Duplicate {
+		t.Fatal("replayed batch 3 was applied, want duplicate")
+	}
+	if resp := predict(srvB, "", 4); resp.Duplicate || resp.Stats.WireCursor != 4 {
+		t.Fatalf("batch 4: %+v, want applied at cursor 4", resp)
+	}
+}
+
+// TestAdminExportFrozenSession: a session evicted into the pool's frozen
+// tier (sharing on, no snapshot directory) exports its warm state, as
+// resume would restore it, and the export leaves the frozen blob in
+// place for a retried transfer. Streaming the rest on the importer must
+// land exactly on a local sim.Run of the whole stream.
+func TestAdminExportFrozenSession(t *testing.T) {
+	registerTiny(t)
+	const instrBudget = 40_000
+	branches := workloadBranches(t, "whiskey", instrBudget)
+	p, err := NewPredictor("llbp-tiny")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st, _ := srvB.ExecuteWireBatch(moved, 3, branches, preds, 0); st != WireDuplicate {
-		t.Fatalf("replayed batch 3: status %v, want duplicate", st)
+	local, err := sim.Run(p, core.NewSliceSource(branches), sim.Options{MeasureInstr: instrBudget})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st, _ := srvB.ExecuteWireBatch(moved, 4, branches, preds, 0); st != WireApplied {
-		t.Fatalf("batch 4: status %v, want applied", st)
+	srvA := New(Config{StoreShare: true, SessionTTL: time.Millisecond, EvictEvery: time.Hour})
+	defer srvA.Close()
+	srvB := New(Config{SessionTTL: -1})
+	defer srvB.Close()
+	predict := func(srv *Server, bs []core.Branch) SessionStats {
+		t.Helper()
+		resp, aerr := srv.Predict(context.Background(), Batch{Session: "x", Predictor: "llbp-tiny", Branches: bs}, make([]core.Prediction, len(bs)))
+		if aerr != nil {
+			t.Fatal(aerr)
+		}
+		return resp.Stats
+	}
+
+	half := len(branches) / 2
+	predict(srvA, branches[:half])
+	time.Sleep(5 * time.Millisecond)
+	if n := srvA.EvictIdle(); n != 1 || srvA.Store().FrozenCount() != 1 {
+		t.Fatalf("evicted %d sessions, %d frozen; want the session frozen", n, srvA.Store().FrozenCount())
+	}
+	blob, err := srvA.ExportSession("x")
+	if err != nil {
+		t.Fatalf("export of a frozen session: %v", err)
+	}
+	if srvA.Store().FrozenCount() != 1 || srvA.Sessions() != 0 {
+		t.Fatalf("export consumed the frozen blob or published the session (%d frozen, %d live)",
+			srvA.Store().FrozenCount(), srvA.Sessions())
+	}
+	if _, err := srvB.ImportSession("x", blob); err != nil {
+		t.Fatal(err)
+	}
+	got := predict(srvB, branches[half:])
+	if got.Instructions != local.Measured.Instructions || got.Mispredicts != local.Measured.Mispredicts || got.MPKI != local.MPKI() {
+		t.Fatalf("after a frozen export: %+v, local sim %+v (MPKI %v)", got, local.Measured, local.MPKI())
 	}
 }

@@ -4,80 +4,127 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"time"
 
 	"llbpx/internal/core"
 )
 
-// Transport SPI ------------------------------------------------------------
+// The predict path ---------------------------------------------------------
 //
-// The Server's session, admission, drain, and checkpoint machinery is
-// transport-agnostic; the HTTP mux is just its oldest frontend. The
-// methods in this file are the exported surface a second frontend — the
-// binary streaming listener in internal/wire — drives. They are thin
-// wrappers over the same private paths the HTTP handlers use, so both
-// protocols share one drain barrier, one worker pool, one shard map, and
-// one metrics registry, and a session is reachable from either protocol
-// under the same ID.
+// llbpd has two frontends, the HTTP mux and the binary listener in
+// internal/wire. Each decodes a batch its own way and then calls
+// Predict, the server's one admission path, so both protocols share one
+// drain barrier, one worker pool, one shard map, one sequencing contract
+// and one metrics registry, and a session is reachable from either
+// protocol under the same ID.
 
-// BeginBatch registers an accepted batch with the drain barrier. It
-// reports false when the server is draining — the caller must refuse the
-// batch (the HTTP path answers 503, the wire path a "draining" NACK).
-// Every successful BeginBatch must be paired with EndBatch.
-func (s *Server) BeginBatch() bool {
+// Batch is one decoded predict call, from either frontend.
+type Batch struct {
+	// Session is the session ID the batch streams to.
+	Session string
+	// Predictor is the client's explicitly named predictor spec: ""
+	// accepts whatever exists (or the server default for a fresh
+	// session); a spec that conflicts with an existing session's
+	// predictor is refused.
+	Predictor string
+	// Fingerprint is the workload fingerprint a freshly created session
+	// declares ("" = none; ignored for existing sessions).
+	Fingerprint string
+	// Num is the session's batch number under the exactly-once
+	// sequencing contract (1-based); 0 opts out and always applies.
+	Num uint64
+	// Branches is the batch, in retire order. Frontends refuse an empty
+	// batch before calling Predict.
+	Branches []core.Branch
+}
+
+// Predict runs one batch through admission and execution: the drain
+// barrier, session acquire (create, thaw or restore), a worker slot
+// under the shedding policy, the sequencing verdict, the predictor walk,
+// metrics and replication accounting, and the budget spill. preds must
+// hold at least len(b.Branches) elements; an applied batch leaves its raw
+// per-branch predictions there.
+//
+// The reply carries every PredictResponse field but Predictions. A batch
+// numbered at or below the session's cursor is the resend of one whose
+// reply was lost: nothing re-executes, preds is untouched, and the reply
+// is marked Duplicate. A refused batch returns an *APIError with the
+// stable code and HTTP status; nothing was applied, and the codes
+// draining, overloaded and out_of_order are safe to resend.
+func (s *Server) Predict(ctx context.Context, b Batch, preds []core.Prediction) (PredictResponse, *APIError) {
+	// From here the batch counts as in-flight: drain waits for it and it
+	// is never dropped part-way.
 	if !s.beginBatch() {
 		s.metrics.rejected.Inc()
-		return false
+		return PredictResponse{}, refuse(http.StatusServiceUnavailable, CodeDraining, "server is draining")
 	}
-	return true
+	defer s.endBatch()
+
+	sess, created, restored, err := s.acquireSession(b.Session, b.Predictor, b.Fingerprint)
+	if err != nil {
+		switch {
+		case errors.Is(err, ErrPredictorConflict):
+			return PredictResponse{}, refuse(http.StatusConflict, CodePredictorConflict, "%v", err)
+		case errors.Is(err, ErrUnknownPredictor):
+			return PredictResponse{}, refuse(http.StatusBadRequest, CodeUnknownPredictor, "%v", err)
+		}
+		return PredictResponse{}, refuse(http.StatusBadRequest, CodeBadRequest, "%v", err)
+	}
+	defer s.releaseSessionRef(sess)
+
+	// Bounded worker pool: a slot gates the CPU-heavy predictor walk so a
+	// flood of batches queues here instead of oversubscribing the host —
+	// but only for AdmitTimeout. A batch that cannot get a slot in time is
+	// shed whole (predictor state untouched, so the client retries it
+	// verbatim), and a batch whose client went away while queueing is
+	// dropped without execution. The pool's occupancy at admission is the
+	// queue-depth sample: how many workers were already busy when this
+	// batch arrived.
+	depth := len(s.pool)
+	if err := s.acquireSlot(ctx); err != nil {
+		if errors.Is(err, ErrOverloaded) {
+			s.metrics.shed.Inc()
+			return PredictResponse{}, refuse(http.StatusTooManyRequests, CodeOverloaded,
+				"no worker slot within %v (%d executing); batch shed, retry safe", s.cfg.AdmitTimeout, len(s.pool))
+		}
+		s.metrics.cancelled.Inc()
+		return PredictResponse{}, refuse(http.StatusServiceUnavailable, CodeInternal, "client went away before execution: %v", err)
+	}
+	s.cfg.Faults.Delay(FaultBatchExec)
+	start := time.Now()
+	delta, snap, applied := sess.applyBatch(b.Num, b.Branches, preds)
+	elapsed := time.Since(start)
+	s.releaseSlot()
+	if !applied {
+		if b.Num <= snap.WireCursor {
+			return PredictResponse{Session: b.Session, Predictor: sess.PredictorName, Duplicate: true, Stats: snap}, nil
+		}
+		// Skipping ahead is refused loudly: this is what makes pipelined
+		// retries safe, since a batch that slipped past a failed
+		// predecessor can never silently corrupt the retire order.
+		return PredictResponse{}, refuse(http.StatusConflict, CodeOutOfOrder,
+			"batch %d skips ahead of the session's applied cursor; replay the gap first", b.Num)
+	}
+	s.metrics.observeBatch(sess.PredictorName, s.sessions.index(sess.ID), delta, elapsed, depth)
+	s.noteReplicaBatch(sess.ID)
+	// The batch may have grown the session's pattern store past the pool
+	// budget; spill colder sessions before answering.
+	s.reclaimStore(sess)
+	return PredictResponse{Session: b.Session, Predictor: sess.PredictorName, Created: created, Restored: restored, Stats: snap}, nil
 }
 
-// EndBatch releases a batch accepted by BeginBatch.
-func (s *Server) EndBatch() { s.endBatch() }
-
-// AcquireSlot takes a worker-pool slot under the admission policy: it
-// gives up after AdmitTimeout with ErrOverloaded (the caller sheds the
-// batch — state untouched, always safe to resend) or when ctx is
-// cancelled. Pair with ReleaseSlot.
-func (s *Server) AcquireSlot(ctx context.Context) error {
-	err := s.acquireSlot(ctx)
-	if errors.Is(err, ErrOverloaded) {
-		s.metrics.shed.Inc()
-	}
-	return err
-}
-
-// ReleaseSlot returns a worker-pool slot taken by AcquireSlot.
-func (s *Server) ReleaseSlot() { s.releaseSlot() }
-
-// PoolDepth reports how many worker-pool slots are currently held — the
-// queue-depth sample transports record at batch admission.
-func (s *Server) PoolDepth() int { return len(s.pool) }
-
-// RetryAfter is the server's advisory resend delay for shed batches (the
-// HTTP path's Retry-After header, the wire path's NACK field).
-func (s *Server) RetryAfter() time.Duration {
-	if s.cfg.AdmitTimeout > 0 {
-		return s.cfg.AdmitTimeout
-	}
-	return time.Second
-}
-
-// AcquireSession returns the live session for id, creating it (or
+// acquireSession returns the live session for id, creating it (or
 // restoring it from the pattern pool's frozen tier or a checkpoint) on
-// first use. requested is the client's explicitly named predictor spec:
-// "" accepts whatever exists (or the server default for a fresh session),
-// and a non-empty spec that conflicts with an existing session's
-// predictor fails with ErrPredictorConflict. Specs are canonicalized
-// before comparison, so "tournament(chooser_bits=12)" and "tournament"
-// name the same session identity. fingerprint is the workload
-// fingerprint a freshly created session declares ("" = none; ignored for
-// existing sessions). created reports a session that entered memory on
-// this call; restored that it came back warm (frozen tier or disk).
+// first use. requested and fingerprint are Batch's Predictor and
+// Fingerprint. Specs are canonicalized before comparison, so
+// "tournament(chooser_bits=12)" and "tournament" name the same session
+// identity. created reports a session that entered memory on this call;
+// restored that it came back warm (frozen tier or disk).
 //
 // The returned session is pinned against budget spilling; the caller
-// must call ReleaseSessionRef exactly once when its batch completes.
-func (s *Server) AcquireSession(id, requested, fingerprint string) (sess *Session, created, restored bool, err error) {
+// must call releaseSessionRef exactly once when its batch completes.
+func (s *Server) acquireSession(id, requested, fingerprint string) (sess *Session, created, restored bool, err error) {
 	if requested != "" {
 		// Canonicalize so parameter order and explicit defaults don't
 		// fork session identities; an unresolvable spec falls through
@@ -111,79 +158,23 @@ func (s *Server) AcquireSession(id, requested, fingerprint string) (sess *Sessio
 			s.metrics.sessionsCreated.Inc()
 		}
 	} else if requested != "" && requested != sess.PredictorName {
-		s.ReleaseSessionRef(sess)
+		s.releaseSessionRef(sess)
 		return nil, false, false, fmt.Errorf("session %q runs predictor %q, not %q: %w",
 			id, sess.PredictorName, requested, ErrPredictorConflict)
 	}
 	return sess, created, created && sess.restored, nil
 }
 
-// ReleaseSessionRef drops the spill pin AcquireSession took. Call exactly
-// once per successful AcquireSession, after the batch (or whatever the
-// session was acquired for) completes.
-func (s *Server) ReleaseSessionRef(sess *Session) { sess.pins.Add(-1) }
+// releaseSessionRef drops the spill pin acquireSession took.
+func (s *Server) releaseSessionRef(sess *Session) { sess.pins.Add(-1) }
 
-// ReclaimStore brings the shared pattern pool back under its byte budget
-// by trimming frozen blobs and spilling least-recently-used idle
-// sessions. skip (may be nil) is never spilled — pass the session the
-// caller is still responding for. Transports call this after a batch
-// completes; it is a cheap no-op while the pool is within budget.
-func (s *Server) ReclaimStore(skip *Session) { s.reclaimStore(skip) }
+// AcquireSlot takes a worker-pool slot exactly as Predict's admission
+// does; pair with ReleaseSlot. It exists so a test can hold the pool
+// full and watch batches shed.
+func (s *Server) AcquireSlot(ctx context.Context) error { return s.acquireSlot(ctx) }
 
-// WireStatus is ExecuteWireBatch's sequencing verdict.
-type WireStatus int
-
-const (
-	// WireApplied: the batch executed and advanced the session's cursor.
-	WireApplied WireStatus = iota
-	// WireDuplicate: the batch number was already applied — the resend of
-	// a batch whose first response was lost. Nothing re-executed; the
-	// caller answers with the session's current statistics so the
-	// exactly-once retry contract holds.
-	WireDuplicate
-	// WireOutOfOrder: the batch number skips ahead of the cursor. Nothing
-	// executed; the caller NACKs so the client replays the gap first.
-	// This is what makes pipelined retries safe: a batch that slipped
-	// past a failed predecessor is refused loudly instead of silently
-	// corrupting the stream's retire order.
-	WireOutOfOrder
-)
-
-// ExecuteWireBatch runs one binary-protocol batch against sess under its
-// sequencing contract. batchNum is the client's per-session monotonically
-// increasing batch number (1-based); 0 opts out of sequencing and always
-// applies. On WireApplied the raw per-branch predictions are copied into
-// preds (which must hold at least len(batch) elements) and the metrics
-// pipeline records the batch; on WireDuplicate and WireOutOfOrder no
-// state changes. snap is the session's statistics snapshot taken under
-// the session lock in every case. The caller holds a worker-pool slot.
-func (s *Server) ExecuteWireBatch(sess *Session, batchNum uint64, batch []core.Branch, preds []core.Prediction, depth int) (WireStatus, SessionStats) {
-	s.cfg.Faults.Delay(FaultBatchExec)
-	start := time.Now()
-	sess.mu.Lock()
-	if batchNum != 0 {
-		switch {
-		case batchNum <= sess.wireSeq:
-			snap := sess.snapshotLocked()
-			sess.mu.Unlock()
-			return WireDuplicate, snap
-		case batchNum > sess.wireSeq+1:
-			snap := sess.snapshotLocked()
-			sess.mu.Unlock()
-			return WireOutOfOrder, snap
-		}
-	}
-	raw, delta := sess.applyBatchLocked(batch)
-	copy(preds, raw)
-	if batchNum != 0 {
-		sess.wireSeq = batchNum
-	}
-	snap := sess.snapshotLocked()
-	sess.mu.Unlock()
-	s.metrics.observeBatch(sess.PredictorName, s.sessions.index(sess.ID), delta, time.Since(start), depth)
-	s.noteReplicaBatch(sess.ID)
-	return WireApplied, snap
-}
+// ReleaseSlot returns a worker-pool slot taken by AcquireSlot.
+func (s *Server) ReleaseSlot() { s.releaseSlot() }
 
 // CloseSession removes a session and returns its final statistics. It
 // deletes the ID's disk checkpoint and frozen blob even when the session
@@ -204,9 +195,3 @@ func (s *Server) CloseSession(id string) (SessionFinal, bool) {
 	s.metrics.observeSessionEnd(sess)
 	return final, true
 }
-
-// FireFault fires the named fault-injection site on the server's
-// injector (a no-op without one). Transports use it for their own sites
-// — internal/wire's read/write sites run through here so one -inject
-// spec arms both protocols.
-func (s *Server) FireFault(site string) error { return s.cfg.Faults.Fire(site) }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"os"
@@ -39,18 +40,14 @@ func TestCheckpointFormatPinned(t *testing.T) {
 			srv := New(Config{SnapshotDir: dir, SessionTTL: -1})
 			defer srv.Close()
 			id := "acme/pin-" + tc.predictor
-			sess, _, _, err := srv.AcquireSession(id, tc.predictor, "nodeapp")
-			if err != nil {
-				t.Fatal(err)
-			}
 			preds := make([]core.Prediction, 1024)
 			for seq, start := uint64(1), 0; start < len(branches); seq, start = seq+1, start+1024 {
-				batch := branches[start:min(start+1024, len(branches))]
-				if st, _ := srv.ExecuteWireBatch(sess, seq, batch, preds, 0); st != WireApplied {
-					t.Fatalf("batch %d: status %v", seq, st)
+				b := Batch{Session: id, Predictor: tc.predictor, Fingerprint: "nodeapp", Num: seq,
+					Branches: branches[start:min(start+1024, len(branches))]}
+				if resp, aerr := srv.Predict(context.Background(), b, preds); aerr != nil || resp.Duplicate {
+					t.Fatalf("batch %d: %+v %v", seq, resp, aerr)
 				}
 			}
-			srv.ReleaseSessionRef(sess)
 
 			export, err := srv.ExportSession(id)
 			if err != nil {

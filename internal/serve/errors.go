@@ -43,6 +43,10 @@ const (
 	// epoch below the session's — the sender's line of history was fenced
 	// off by a failover and must stop (HTTP 409). Nothing was installed.
 	CodeStaleEpoch = "stale_epoch"
+	// CodeOutOfOrder: a sequenced batch skips ahead of the session's
+	// applied cursor (HTTP 409); nothing executed. Resending the gap in
+	// order resolves it. Only the binary protocol sequences batches.
+	CodeOutOfOrder = "out_of_order"
 )
 
 // Sentinel errors, one per code; *APIError unwraps to these.
@@ -92,6 +96,11 @@ func (e *APIError) Error() string {
 
 // Unwrap returns the sentinel error for the code.
 func (e *APIError) Unwrap() error { return codeSentinels[e.Code] }
+
+// refuse builds the *APIError a refused request is answered with.
+func refuse(status int, code, format string, args ...any) *APIError {
+	return &APIError{Code: code, Message: fmt.Sprintf(format, args...), Status: status}
+}
 
 // errorBody is the inner object of the wire envelope.
 type errorBody struct {

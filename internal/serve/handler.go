@@ -2,11 +2,9 @@ package serve
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
-	"time"
 
 	"llbpx/internal/core"
 	"llbpx/internal/tournament"
@@ -140,7 +138,6 @@ func WriteError(w http.ResponseWriter, status int, code, format string, args ...
 // Handlers -----------------------------------------------------------------
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
 	call, aerr := ReadPredict(w, r, s.cfg.MaxBatch)
 	if aerr != nil {
 		WriteError(w, aerr.Status, aerr.Code, "%s", aerr.Message)
@@ -155,71 +152,35 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// From here the batch counts as in-flight: drain waits for it and it
-	// is never dropped part-way.
-	if !s.beginBatch() {
-		s.metrics.rejected.Inc()
-		WriteError(w, http.StatusServiceUnavailable, CodeDraining, "server is draining")
-		return
-	}
-	defer s.endBatch()
-
-	sess, created, restored, err := s.AcquireSession(id, call.Predictor, call.WorkloadFingerprint)
-	if err != nil {
-		switch {
-		case errors.Is(err, ErrPredictorConflict):
-			WriteError(w, http.StatusConflict, CodePredictorConflict, "%v", err)
-		case errors.Is(err, ErrUnknownPredictor):
-			WriteError(w, http.StatusBadRequest, CodeUnknownPredictor, "%v", err)
-		default:
-			WriteError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
-		}
-		return
-	}
-	defer s.ReleaseSessionRef(sess)
-
-	// Bounded worker pool: a slot gates the CPU-heavy predictor walk so a
-	// flood of batches queues here instead of oversubscribing the host —
-	// but only for AdmitTimeout. A batch that cannot get a slot in time is
-	// shed whole with 429 + Retry-After (predictor state untouched, so the
-	// client retries it verbatim), and a batch whose client disconnected
-	// while queueing is dropped without execution. The pool's occupancy at
-	// admission is the queue-depth sample: how many workers were already
-	// busy when this batch arrived.
-	depth := len(s.pool)
-	if aerr := s.acquireSlot(r.Context()); aerr != nil {
-		if errors.Is(aerr, ErrOverloaded) {
-			s.metrics.shed.Inc()
+	raw := call.rawPredictions()
+	resp, aerr := s.Predict(r.Context(), Batch{
+		Session:     r.PathValue("id"),
+		Predictor:   call.Predictor,
+		Fingerprint: call.WorkloadFingerprint,
+		Branches:    call.Branches,
+	}, raw)
+	if aerr != nil {
+		if aerr.Code == CodeOverloaded {
 			w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.AdmitTimeout))
-			WriteError(w, http.StatusTooManyRequests, CodeOverloaded,
-				"no worker slot within %v (%d executing); batch shed, retry safe",
-				s.cfg.AdmitTimeout, len(s.pool))
-			return
 		}
-		// Client gone: nothing to answer, nothing was executed.
-		s.metrics.cancelled.Inc()
+		WriteError(w, aerr.Status, aerr.Code, "%s", aerr.Message)
 		return
 	}
-	s.cfg.Faults.Delay(FaultBatchExec)
-	start := time.Now()
-	preds := call.Predictions()
-	delta, snap := sess.executeBatch(call.Branches, preds)
-	elapsed := time.Since(start)
-	s.releaseSlot()
-	s.metrics.observeBatch(sess.PredictorName, s.sessions.index(id), delta, elapsed, depth)
-	s.noteReplicaBatch(id)
-	// The batch may have grown the session's pattern store past the pool
-	// budget; spill colder sessions before answering.
-	s.reclaimStore(sess)
+	resp.Predictions = call.Predictions()
+	for i, b := range call.Branches {
+		resp.Predictions[i] = branchPrediction(b, raw[i])
+	}
+	call.WriteResponse(w, &resp)
+}
 
-	call.WriteResponse(w, &PredictResponse{
-		Session:     id,
-		Predictor:   sess.PredictorName,
-		Created:     created,
-		Restored:    restored,
-		Predictions: preds,
-		Stats:       snap,
-	})
+// branchPrediction is the JSON reply's form of one raw prediction.
+// Unconditional branches are always taken and never predicted for
+// direction.
+func branchPrediction(b core.Branch, p core.Prediction) BranchPrediction {
+	if !b.Kind.Conditional() {
+		return BranchPrediction{Taken: true, Correct: true}
+	}
+	return BranchPrediction{Cond: true, Taken: p.Taken, Correct: p.Taken == b.Taken, SecondLevel: p.FromSecondLevel}
 }
 
 func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {

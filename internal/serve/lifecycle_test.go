@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -143,7 +144,7 @@ func (w *walk) step() {
 	case r < 50:
 		w.batch(w.pick())
 	case r < 58:
-		w.servers[w.rng.IntN(2)].ReclaimStore(nil)
+		w.servers[w.rng.IntN(2)].reclaimStore(nil)
 	case r < 66:
 		w.servers[w.rng.IntN(2)].EvictIdle()
 	case r < 71:
@@ -190,8 +191,8 @@ func (w *walk) create() {
 	w.batch(ms)
 }
 
-// batch sends the session's next chunk to its owner the way a transport
-// does: acquire, execute, release, reclaim.
+// batch sends the session's next chunk to its owner through Predict,
+// the admission path both of llbpd's frontends call.
 func (w *walk) batch(ms *walkSession) {
 	t := w.t
 	t.Helper()
@@ -200,26 +201,26 @@ func (w *walk) batch(ms *walkSession) {
 		return
 	}
 	srv := w.servers[ms.owner]
-	sess, created, restored, err := srv.AcquireSession(ms.id, ms.predictor, ms.fingerprint)
-	if err != nil {
-		t.Fatalf("%s: acquire: %v", ms.id, err)
-	}
-	if created && !restored && ms.batches() > 0 {
-		if !ms.lost {
-			t.Fatalf("%s came back cold after %d batches", ms.id, ms.batches())
+	n := 64 + w.rng.IntN(448)
+	end := min(start+n, len(ms.stream))
+	b := Batch{Session: ms.id, Predictor: ms.predictor, Fingerprint: ms.fingerprint,
+		Num: uint64(ms.batches() + 1), Branches: ms.stream[start:end]}
+	resp, aerr := srv.Predict(context.Background(), b, w.preds)
+	if aerr != nil && aerr.Code == CodeOutOfOrder && ms.lost {
+		// A session whose checkpoint failed may be back cold, at cursor
+		// 0; the client then restarts its stream.
+		if sess := srv.sessions.get(ms.id); sess != nil && sess.snapshot().WireCursor == 0 {
+			ms.cuts = ms.cuts[:1]
+			end = min(n, len(ms.stream))
+			b.Num, b.Branches = 1, ms.stream[:end]
+			w.cov.dropped++
+			resp, aerr = srv.Predict(context.Background(), b, w.preds)
 		}
-		ms.cuts, start = ms.cuts[:1], 0 // the client restarts its stream
-		w.cov.dropped++
+	}
+	if aerr != nil || resp.Duplicate {
+		t.Fatalf("%s: batch %d answered %+v %v (state came back cold or behind)", ms.id, b.Num, resp.Stats, aerr)
 	}
 	ms.lost = false
-	end := min(start+64+w.rng.IntN(448), len(ms.stream))
-	status, st := srv.ExecuteWireBatch(sess, uint64(ms.batches()+1), ms.stream[start:end], w.preds, 0)
-	srv.ReleaseSessionRef(sess)
-	srv.ReclaimStore(sess)
-	if status != WireApplied {
-		t.Fatalf("%s: batch %d answered %v at cursor %d (state came back behind)",
-			ms.id, ms.batches()+1, status, st.WireCursor)
-	}
 	ms.cuts = append(ms.cuts, end)
 }
 
@@ -367,12 +368,12 @@ func (w *walk) finish() {
 	t := w.t
 	for _, ms := range w.sessions {
 		srv := w.servers[ms.owner]
-		sess, created, restored, err := srv.AcquireSession(ms.id, ms.predictor, ms.fingerprint)
+		sess, created, restored, err := srv.acquireSession(ms.id, ms.predictor, ms.fingerprint)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got := sess.snapshot()
-		srv.ReleaseSessionRef(sess)
+		srv.releaseSessionRef(sess)
 		if created && !restored {
 			if !ms.lost {
 				t.Fatalf("%s came back cold at the end", ms.id)

@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -59,6 +58,7 @@ type PredictCall struct {
 	// Branches is the batch, in retire order.
 	Branches []core.Branch
 
+	raw   []core.Prediction // the predictor's output, converted into preds
 	preds []BranchPrediction
 	buf   []byte // the request body, then the encoded reply
 }
@@ -91,21 +91,18 @@ func ReadPredict(w http.ResponseWriter, r *http.Request, maxBatch int) (*Predict
 }
 
 func (c *PredictCall) validate(err error, maxBatch int) *APIError {
-	bad := func(status int, code, format string, args ...any) *APIError {
-		return &APIError{Code: code, Message: fmt.Sprintf(format, args...), Status: status}
-	}
 	switch {
 	case err != nil:
-		return bad(http.StatusBadRequest, CodeBadRequest, "bad batch body: %v", err)
+		return refuse(http.StatusBadRequest, CodeBadRequest, "bad batch body: %v", err)
 	case len(c.Branches) == 0:
-		return bad(http.StatusBadRequest, CodeBadRequest, "empty batch")
+		return refuse(http.StatusBadRequest, CodeBadRequest, "empty batch")
 	case len(c.Branches) > maxBatch:
-		return bad(http.StatusRequestEntityTooLarge, CodeBatchTooLarge,
+		return refuse(http.StatusRequestEntityTooLarge, CodeBatchTooLarge,
 			"batch of %d branches exceeds limit %d", len(c.Branches), maxBatch)
 	}
 	for i, b := range c.Branches {
 		if !b.Kind.Valid() {
-			return bad(http.StatusBadRequest, CodeBadRequest, "branch %d: invalid kind %d", i, uint8(b.Kind))
+			return refuse(http.StatusBadRequest, CodeBadRequest, "branch %d: invalid kind %d", i, uint8(b.Kind))
 		}
 	}
 	return nil
@@ -118,6 +115,15 @@ func (c *PredictCall) Predictions() []BranchPrediction {
 		c.preds = make([]BranchPrediction, len(c.Branches))
 	}
 	return c.preds[:len(c.Branches)]
+}
+
+// rawPredictions returns a scratch vector the length of the batch for
+// Predict to write the predictor's output into.
+func (c *PredictCall) rawPredictions() []core.Prediction {
+	if cap(c.raw) < len(c.Branches) {
+		c.raw = make([]core.Prediction, len(c.Branches))
+	}
+	return c.raw[:len(c.Branches)]
 }
 
 // WriteResponse answers the call with resp as a 200, byte for byte what
@@ -141,7 +147,7 @@ func (c *PredictCall) Release() {
 		c.Branches = nil
 	}
 	if cap(c.preds) > maxPooledBranches {
-		c.preds = nil
+		c.raw, c.preds = nil, nil
 	}
 	callPool.Put(c)
 }

@@ -33,7 +33,7 @@ type Session struct {
 	// read lock-free by the eviction janitor.
 	lastUsed atomic.Int64
 
-	// pins counts callers holding the session between AcquireSession and
+	// pins counts callers holding the session between acquireSession and
 	// batch completion. The budget spiller only retires sessions with
 	// zero pins (checked under the shard lock, where pins are taken), so
 	// a session can never be spilled out from under an admitted batch —
@@ -48,9 +48,6 @@ type Session struct {
 	pred    core.Predictor
 	stats   stats.BranchStats
 	batches uint64
-	// predBuf is the session's reusable prediction scratch buffer for
-	// core.RunBatch, guarded by mu like the predictor itself.
-	predBuf []core.Prediction
 	// wireSeq is the highest applied binary-protocol batch number (the
 	// exactly-once cursor of internal/wire's sequencing contract). Zero
 	// until the first sequenced wire batch; untouched by the HTTP path.
@@ -68,18 +65,22 @@ func (s *Session) touch() { s.lastUsed.Store(time.Now().UnixNano()) }
 // (unix nanos).
 func (s *Session) idleSince(cutoff int64) bool { return s.lastUsed.Load() < cutoff }
 
-// applyBatchLocked drives the predictor over one batch of branches in
-// retire order through core.RunBatch, with the same accounting as sim.Run
-// so that a session's MPKI matches a local simulation of the same stream.
-// It returns the raw per-branch predictions (aliasing the session's
-// scratch buffer — valid only while mu is held) and the batch's own stats
-// delta. Callers hold mu.
-func (s *Session) applyBatchLocked(batch []core.Branch) ([]core.Prediction, stats.BranchStats) {
-	var delta stats.BranchStats
-	if cap(s.predBuf) < len(batch) {
-		s.predBuf = make([]core.Prediction, len(batch))
+// applyBatch drives the predictor over one batch of branches in retire
+// order through core.RunBatch, with the same accounting as sim.Run so
+// that a session's MPKI matches a local simulation of the same stream,
+// subject to the sequencing verdict: batch number num applies only at
+// the cursor plus one (0 always applies, leaving the cursor alone). An
+// applied batch leaves the raw per-branch predictions in preds (at
+// least len(batch) long); delta is its own stats delta. applied is false
+// for a refused batch, which changed nothing. snap is the session's
+// statistics after the verdict, taken under the same lock.
+func (s *Session) applyBatch(num uint64, batch []core.Branch, preds []core.Prediction) (delta stats.BranchStats, snap SessionStats, applied bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if num != 0 && num != s.wireSeq+1 {
+		return delta, s.snapshotLocked(), false
 	}
-	preds := s.predBuf[:len(batch)]
+	preds = preds[:len(batch)]
 	core.RunBatch(s.pred, batch, preds)
 	for i, b := range batch {
 		delta.Instructions += b.Instructions()
@@ -100,35 +101,11 @@ func (s *Session) applyBatchLocked(batch []core.Branch) ([]core.Prediction, stat
 	}
 	s.stats.Add(delta)
 	s.batches++
-	s.touch()
-	return preds, delta
-}
-
-// executeBatch is the HTTP path's batch execution: applyBatchLocked plus
-// filling out, the JSON-shaped per-branch reply (len(batch) long). It
-// returns the batch's own stats delta (used for server-wide per-predictor
-// aggregation) and the session's post-batch snapshot taken under the
-// same lock.
-func (s *Session) executeBatch(batch []core.Branch, out []BranchPrediction) (stats.BranchStats, SessionStats) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	preds, delta := s.applyBatchLocked(batch)
-	for i, b := range batch {
-		if b.Kind.Conditional() {
-			pred := preds[i]
-			out[i] = BranchPrediction{
-				Cond:        true,
-				Taken:       pred.Taken,
-				Correct:     pred.Taken == b.Taken,
-				SecondLevel: pred.FromSecondLevel,
-			}
-		} else {
-			// Unconditional branches are always taken and never predicted
-			// for direction.
-			out[i] = BranchPrediction{Taken: true, Correct: true}
-		}
+	if num != 0 {
+		s.wireSeq = num
 	}
-	return delta, s.snapshotLocked()
+	s.touch()
+	return delta, s.snapshotLocked(), true
 }
 
 // snapshot returns the session's accumulated statistics.

@@ -55,7 +55,7 @@ func (sm *shardMap) get(id string) *Session {
 // lock so the janitor cannot see a just-fetched session as idle, and a
 // pin is taken under the same lock so the budget spiller (pickLRU /
 // removeIfQuiet) cannot retire the session before its batch runs — the caller must
-// release the pin when the batch completes (Server.ReleaseSessionRef).
+// release the pin when the batch completes (Server.releaseSessionRef).
 func (sm *shardMap) getOrCreate(id string, create func() (*Session, error)) (s *Session, created bool, err error) {
 	sh := sm.shard(id)
 	sh.mu.Lock()

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -9,6 +10,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"llbpx/internal/core"
 )
 
 // TestParseSpec pins the spec grammar: accepted forms, their parsed
@@ -293,16 +296,19 @@ func TestSessionRejectsLocalOnlySpec(t *testing.T) {
 	}
 	srv := New(Config{})
 	defer srv.Close()
-	if _, _, _, err := srv.AcquireSession("s1", "bullseye(h2p_file="+seed+")", ""); err == nil {
+	batch := func(srv *Server, id, predictor string) *APIError {
+		one := []core.Branch{{PC: 4096, Taken: true, InstrGap: 3}}
+		_, aerr := srv.Predict(context.Background(), Batch{Session: id, Predictor: predictor, Branches: one}, make([]core.Prediction, 1))
+		return aerr
+	}
+	if aerr := batch(srv, "s1", "bullseye(h2p_file="+seed+")"); aerr == nil {
 		t.Fatal("client h2p_file spec created a session")
 	}
 	trusted := New(Config{DefaultPredictor: "bullseye(h2p_file=" + seed + ")"})
 	defer trusted.Close()
-	sess, _, _, err := trusted.AcquireSession("s2", "", "")
-	if err != nil {
-		t.Fatalf("server-configured default with h2p_file: %v", err)
+	if aerr := batch(trusted, "s2", ""); aerr != nil {
+		t.Fatalf("server-configured default with h2p_file: %v", aerr)
 	}
-	trusted.ReleaseSessionRef(sess)
 }
 
 // TestParameterizedSpecBuilds exercises the factory path: explicit

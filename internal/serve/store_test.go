@@ -335,7 +335,7 @@ func TestStoreConcurrentChurn(t *testing.T) {
 	if pool.Budget() > 0 && pool.OverBudget() {
 		// One live session may legitimately exceed a tiny budget; more
 		// than the resident slack means reclaim lost track.
-		srv.ReclaimStore(nil)
+		srv.reclaimStore(nil)
 		if pool.TotalBytes() > pool.Budget()+perSession {
 			t.Errorf("pool irrecoverably over budget: total=%d budget=%d", pool.TotalBytes(), pool.Budget())
 		}
@@ -367,13 +367,12 @@ func TestStoreThawDeclineKeepsFrozenState(t *testing.T) {
 	defer srv.Close()
 	batch := func(id, predictor string, bs []core.Branch) (restored bool) {
 		t.Helper()
-		sess, _, restored, err := srv.AcquireSession(id, predictor, "whiskey")
-		if err != nil {
-			t.Fatal(err)
+		resp, aerr := srv.Predict(context.Background(), Batch{Session: id, Predictor: predictor, Fingerprint: "whiskey", Branches: bs},
+			make([]core.Prediction, len(bs)))
+		if aerr != nil {
+			t.Fatal(aerr)
 		}
-		srv.ExecuteWireBatch(sess, 0, bs, make([]core.Prediction, len(bs)), 0)
-		srv.ReleaseSessionRef(sess)
-		return restored
+		return resp.Restored
 	}
 	evict := func(want int) {
 		t.Helper()
@@ -399,12 +398,12 @@ func TestStoreThawDeclineKeepsFrozenState(t *testing.T) {
 	if !batch("a", "llbp-tiny", branches[half:]) {
 		t.Fatal("the original predictor did not resume warm after a declined thaw")
 	}
-	sess, _, _, err := srv.AcquireSession("a", "llbp-tiny", "whiskey")
+	sess, _, _, err := srv.acquireSession("a", "llbp-tiny", "whiskey")
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := sess.snapshot()
-	srv.ReleaseSessionRef(sess)
+	srv.releaseSessionRef(sess)
 	if got.MPKI != local.MPKI() || got.Batches != 2 {
 		t.Errorf("after the declined thaw: MPKI %v over %d batches, local sim %v over 2", got.MPKI, got.Batches, local.MPKI())
 	}

@@ -15,9 +15,9 @@ import (
 )
 
 // NackError is a typed server refusal: the binary twin of serve.APIError.
-// Code carries the serving stack's stable error code (or the wire-only
-// CodeOutOfOrder), Retryable whether resending the same frame is safe and
-// useful, RetryAfter the server's backoff hint.
+// Code carries the serving stack's stable error code, Retryable whether
+// resending the same frame is safe and useful, RetryAfter the server's
+// backoff hint.
 type NackError struct {
 	Code       string
 	Message    string

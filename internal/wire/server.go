@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"errors"
-	"fmt"
 	"hash/maphash"
 	"io"
 	"net"
@@ -12,6 +11,7 @@ import (
 	"time"
 
 	"llbpx/internal/core"
+	"llbpx/internal/faults"
 	"llbpx/internal/serve"
 )
 
@@ -50,16 +50,33 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server is the binary-protocol listener. It owns no session, admission,
-// drain, or checkpoint state of its own: every frame drives the same
-// serve.Server machinery the HTTP mux does, so the two protocols share
-// one worker pool, one drain barrier, one shard map, and one metrics
-// registry — a session is reachable from either protocol under the same
-// ID.
+// Handler executes the request frames a Server decodes. Each method
+// appends the response frame for seq to dst and returns it: a PredictOK
+// or CloseOK, or a Nack. Calls for one session arrive in frame order;
+// calls for different sessions run concurrently. ctx is cancelled when
+// the connection dies.
+type Handler interface {
+	// Predict executes one decoded batch. p, its strings and its
+	// branches belong to the connection and stay valid until Predict
+	// returns; preds is len(p.Branches) of scratch.
+	Predict(ctx context.Context, dst []byte, seq uint64, p *Predict, preds []core.Prediction) []byte
+	// Close deletes a session and answers with its final statistics.
+	Close(ctx context.Context, dst []byte, seq uint64, session string) []byte
+}
+
+// Server is the binary-protocol listener: the connection pipeline, with
+// the execution step left to a Handler. llbpd's (NewServer) owns no
+// session, admission, drain, or checkpoint state of its own: every frame
+// drives the same serve.Server.Predict the HTTP mux calls, so a session
+// is reachable from either protocol under the same ID. The cluster
+// gateway runs its wire frontend on the same pipeline with its own
+// forwarding Handler.
 type Server struct {
-	backend *serve.Server
-	cfg     Config
-	m       *serve.WireMetrics
+	h        Handler
+	maxBatch int
+	faults   *faults.Injector // arms FaultRead and FaultWrite; nil = none
+	cfg      Config
+	m        *serve.WireMetrics
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -68,13 +85,30 @@ type Server struct {
 	wg     sync.WaitGroup
 }
 
-// NewServer wraps a serve.Server with a binary-protocol frontend.
+// NewServer wraps a serve.Server with a binary-protocol frontend. The
+// backend's fault injector arms the wire's own read and write sites, so
+// one -inject spec covers both protocols.
 func NewServer(backend *serve.Server, cfg Config) *Server {
+	bc := backend.Config()
+	retryAfter := time.Second
+	if bc.AdmitTimeout > 0 {
+		retryAfter = bc.AdmitTimeout
+	}
+	s := NewHandlerServer(backendHandler{backend, retryAfter}, bc.MaxBatch, backend.WireMetrics(), cfg)
+	s.faults = bc.Faults
+	return s
+}
+
+// NewHandlerServer serves h over the binary protocol. maxBatch bounds a
+// decoded batch (larger ones are NACKed bad_request), and the
+// connection pipeline records its traffic in m.
+func NewHandlerServer(h Handler, maxBatch int, m *serve.WireMetrics, cfg Config) *Server {
 	return &Server{
-		backend: backend,
-		cfg:     cfg.withDefaults(),
-		m:       backend.WireMetrics(),
-		conns:   make(map[net.Conn]struct{}),
+		h:        h,
+		maxBatch: maxBatch,
+		cfg:      cfg.withDefaults(),
+		m:        m,
+		conns:    make(map[net.Conn]struct{}),
 	}
 }
 
@@ -160,20 +194,17 @@ func (s *Server) Close() error {
 }
 
 // job is one in-flight frame: decoded request state on the way in,
-// encoded response bytes on the way out. A connection owns Window jobs
-// recycled through a free list, so the steady-state frame path performs
-// no per-frame heap allocation.
+// encoded response bytes on the way out. A connection creates jobs on
+// demand, up to Window, and recycles them through a free list, so the
+// steady-state frame path performs no per-frame heap allocation and a
+// closed-loop client grows one job's buffers, not Window of them.
 type job struct {
-	typ      byte
-	seq      uint64
-	start    time.Time
-	session  []byte // copied out of the read buffer (it is reused per frame)
-	pred     []byte
-	batchNum uint64
-	branches []core.Branch
-	preds    []core.Prediction
-	out      []byte
-	nack     bool
+	typ   byte
+	seq   uint64
+	start time.Time
+	req   Predict // copied out of the read buffer (it is reused per frame)
+	preds []core.Prediction
+	out   []byte
 }
 
 // wireConn is the per-connection pipeline: one reader decoding frames,
@@ -187,19 +218,18 @@ type wireConn struct {
 	quit   chan struct{}
 	kill   sync.Once
 	free   chan *job
+	jobs   int // jobs created so far; only the reader touches it
 	writeq chan *job
 	execq  []chan *job
 	seed   maphash.Seed
 }
 
-// AcceptHandshake performs the server side of the preamble exchange on a
+// acceptHandshake performs the server side of the preamble exchange on a
 // freshly accepted connection: read the client's 6-byte preamble, verify
 // magic and version, echo ours back. On any mismatch it returns an error
 // without writing — say nothing a non-wire peer could misparse; the
-// caller just hangs up. Exported for other wire-speaking listeners (the
-// cluster gateway's upstream frontend) so there is exactly one handshake
-// implementation.
-func AcceptHandshake(c net.Conn, timeout time.Duration) error {
+// caller just hangs up.
+func acceptHandshake(c net.Conn, timeout time.Duration) error {
 	c.SetDeadline(time.Now().Add(timeout))
 	var got [len(preamble)]byte
 	if _, err := io.ReadFull(c, got[:]); err != nil {
@@ -216,7 +246,7 @@ func AcceptHandshake(c net.Conn, timeout time.Duration) error {
 
 func (s *Server) serveConn(c net.Conn) {
 	defer c.Close()
-	if AcceptHandshake(c, s.cfg.HandshakeTimeout) != nil {
+	if acceptHandshake(c, s.cfg.HandshakeTimeout) != nil {
 		return
 	}
 
@@ -233,9 +263,6 @@ func (s *Server) serveConn(c net.Conn) {
 		seed:   maphash.MakeSeed(),
 	}
 	defer cancel()
-	for i := 0; i < s.cfg.Window; i++ {
-		wc.free <- &job{}
-	}
 	var execWg sync.WaitGroup
 	for i := range wc.execq {
 		wc.execq[i] = make(chan *job, s.cfg.Window)
@@ -281,18 +308,38 @@ func (wc *wireConn) shard(session []byte) int {
 	return int(maphash.Bytes(wc.seed, session) % uint64(len(wc.execq)))
 }
 
+// next returns a free job, creating one while fewer than Window exist.
+// With Window jobs out, the reader waits for the writer to recycle one:
+// that is the connection's backpressure. nil means the connection died.
+func (wc *wireConn) next() *job {
+	select {
+	case j := <-wc.free:
+		return j
+	default:
+	}
+	if wc.jobs < wc.s.cfg.Window {
+		wc.jobs++
+		return &job{}
+	}
+	select {
+	case j := <-wc.free:
+		return j
+	case <-wc.quit:
+		return nil
+	}
+}
+
 // reader is the connection's frame-decode loop. It owns the read buffer;
 // everything a frame needs past the next read is copied into the job.
 func (wc *wireConn) reader() {
 	br := bufio.NewReaderSize(wc.c, 256<<10)
 	var buf []byte
 	var pr Predict
-	maxBatch := wc.s.backend.Config().MaxBatch
 	for {
 		// The read fault site models a torn network: an injected error
 		// abandons the connection exactly like a peer vanishing
 		// mid-frame would.
-		if wc.s.backend.FireFault(FaultRead) != nil {
+		if wc.s.faults.Fire(FaultRead) != nil {
 			wc.die()
 			return
 		}
@@ -301,56 +348,53 @@ func (wc *wireConn) reader() {
 		}
 		body, nbuf, n, err := ReadFrame(br, buf)
 		buf = nbuf
+		wc.s.m.BytesRx.Add(uint64(n))
 		if err != nil {
-			wc.s.m.BytesRx.Add(uint64(n))
 			wc.die()
 			return
 		}
 		wc.s.m.FramesRx.Inc()
-		wc.s.m.BytesRx.Add(uint64(n))
 		typ, seq, payload, err := ParseHeader(body)
-		if err != nil {
-			wc.die()
-			return
-		}
-		var j *job
-		select {
-		case j = <-wc.free:
-		case <-wc.quit:
-			return
-		}
-		j.typ, j.seq, j.start, j.nack = typ, seq, time.Now(), false
-		switch typ {
-		case FramePredict:
-			pr.Branches = j.branches // decode into the job's storage
-			if err := DecodePredict(payload, &pr, maxBatch); err != nil {
-				// The stream itself is intact (CRC passed): NACK this
-				// frame and keep the connection.
-				wc.respondNack(j, serve.CodeBadRequest, err.Error(), false, 0)
-				continue
-			}
-			j.session = append(j.session[:0], pr.Session...)
-			j.pred = append(j.pred[:0], pr.Predictor...)
-			j.batchNum = pr.BatchNum
-			j.branches = pr.Branches
-			wc.dispatch(j)
-		case FrameClose:
-			var cl Close
-			if err := DecodeClose(payload, &cl); err != nil {
-				wc.respondNack(j, serve.CodeBadRequest, err.Error(), false, 0)
-				continue
-			}
-			j.session = append(j.session[:0], cl.Session...)
-			j.branches = j.branches[:0]
-			wc.dispatch(j)
-		case FramePing:
-			j.out = AppendPong(j.out[:0], seq)
-			wc.send(j)
-		default:
+		if err != nil || (typ != FramePredict && typ != FrameClose && typ != FramePing) {
 			// Anything else — response types, unknown types — is a
 			// protocol violation that poisons framing trust.
 			wc.die()
 			return
+		}
+		j := wc.next()
+		if j == nil {
+			return
+		}
+		j.typ, j.seq, j.start = typ, seq, time.Now()
+		switch typ {
+		case FramePredict:
+			pr.Branches = j.req.Branches // decode into the job's storage
+			err := DecodePredict(payload, &pr, wc.s.maxBatch)
+			j.req.Branches = pr.Branches
+			if err == nil && len(pr.Branches) == 0 {
+				err = errors.New("empty batch")
+			}
+			if err != nil {
+				// The stream itself is intact (CRC passed): NACK this
+				// frame and keep the connection.
+				wc.nack(j, err)
+				continue
+			}
+			j.req.Session = append(j.req.Session[:0], pr.Session...)
+			j.req.Predictor = append(j.req.Predictor[:0], pr.Predictor...)
+			j.req.BatchNum = pr.BatchNum
+			wc.dispatch(j)
+		case FrameClose:
+			var cl Close
+			if err := DecodeClose(payload, &cl); err != nil {
+				wc.nack(j, err)
+				continue
+			}
+			j.req.Session = append(j.req.Session[:0], cl.Session...)
+			wc.dispatch(j)
+		case FramePing:
+			j.out = AppendPong(j.out[:0], seq)
+			wc.send(j)
 		}
 	}
 }
@@ -358,7 +402,7 @@ func (wc *wireConn) reader() {
 // dispatch hands a decoded job to its session's executor.
 func (wc *wireConn) dispatch(j *job) {
 	select {
-	case wc.execq[wc.shard(j.session)] <- j:
+	case wc.execq[wc.shard(j.req.Session)] <- j:
 	case <-wc.quit:
 	}
 }
@@ -371,110 +415,138 @@ func (wc *wireConn) send(j *job) {
 	}
 }
 
-// respondNack encodes a NACK for j and queues it.
-func (wc *wireConn) respondNack(j *job, code, msg string, retryable bool, retryAfter time.Duration) {
-	j.nack = true
-	j.out = AppendNack(j.out[:0], j.seq, code, msg, retryable, uint64(retryAfter.Milliseconds()))
+// nack answers a frame that failed payload validation.
+func (wc *wireConn) nack(j *job, err error) {
+	j.out = AppendNack(j.out[:0], j.seq, serve.CodeBadRequest, err.Error(), false, 0)
 	wc.send(j)
 }
 
-// executor runs one shard's jobs in FIFO order against the backend.
+// executor runs one shard's jobs in FIFO order through the Handler. A
+// job dequeued after the connection died is dropped unexecuted: nobody
+// is left to answer, and a batch never applied is always safe for the
+// client to resend.
 func (wc *wireConn) executor(q chan *job) {
 	for j := range q {
+		select {
+		case <-wc.quit:
+			continue
+		default:
+		}
 		switch j.typ {
 		case FramePredict:
-			wc.execPredict(j)
+			n := len(j.req.Branches)
+			if cap(j.preds) < n {
+				j.preds = make([]core.Prediction, n)
+			}
+			j.out = wc.s.h.Predict(wc.ctx, j.out[:0], j.seq, &j.req, j.preds[:n])
+			if frameType(j.out) == FramePredictOK {
+				wc.s.m.FrameLatency.ObserveDuration(time.Since(j.start))
+			}
 		case FrameClose:
-			wc.execClose(j)
+			j.out = wc.s.h.Close(wc.ctx, j.out[:0], j.seq, string(j.req.Session))
+		}
+		wc.send(j)
+	}
+}
+
+// frameType reads the type byte of an encoded frame, just past its
+// length prefix.
+func frameType(frame []byte) byte { return frame[4] }
+
+// writer serializes encoded frames onto the connection, flushing when
+// the queue momentarily empties (response coalescing under pipelining),
+// and recycles jobs back to the free list.
+func (wc *wireConn) writer() {
+	bw := bufio.NewWriterSize(wc.c, 256<<10)
+	dead := false
+	for j := range wc.writeq {
+		if !dead {
+			dead = !wc.write(bw, j.out)
+		}
+		// Recycle before the flush can reach the client, so a closed-loop
+		// client's next frame finds this job free instead of growing a new
+		// one. The free list holds every job there is, so this never
+		// blocks.
+		wc.free <- j
+		if !dead && len(wc.writeq) == 0 && bw.Flush() != nil {
+			wc.die()
+			dead = true
 		}
 	}
 }
 
-func (wc *wireConn) execPredict(j *job) {
-	s := wc.s
-	if len(j.branches) == 0 {
-		wc.respondNack(j, serve.CodeBadRequest, "empty batch", false, 0)
-		return
+// write buffers one response frame, reporting false when the connection
+// is dead.
+func (wc *wireConn) write(bw *bufio.Writer, frame []byte) bool {
+	// The write fault site models the response path dying after
+	// execution: the lost-ack case the sequencing contract (duplicate
+	// detection on resend) exists to absorb.
+	if wc.s.faults.Fire(FaultWrite) != nil {
+		wc.die()
+		return false
 	}
-	if !s.backend.BeginBatch() {
-		wc.respondNack(j, serve.CodeDraining, "server is draining", true, s.backend.RetryAfter())
-		return
+	if _, err := bw.Write(frame); err != nil {
+		wc.die()
+		return false
 	}
-	defer s.backend.EndBatch()
+	wc.s.m.FramesTx.Inc()
+	wc.s.m.BytesTx.Add(uint64(len(frame)))
+	if frameType(frame) == FrameNack {
+		wc.s.m.Nacks.Inc()
+	}
+	return true
+}
 
+// backendHandler executes frames against llbpd's serve.Server: a batch
+// through Predict, the admission path the HTTP mux shares, and a close
+// through CloseSession.
+type backendHandler struct {
+	s *serve.Server
+	// retryAfter is the resend hint on draining and overloaded NACKs.
+	retryAfter time.Duration
+}
+
+func (h backendHandler) Predict(ctx context.Context, dst []byte, seq uint64, p *Predict, preds []core.Prediction) []byte {
 	// The binary protocol has no fingerprint field; wire sessions never
 	// opt into frozen-state sharing.
-	sess, created, restored, err := s.backend.AcquireSession(string(j.session), string(j.pred), "")
-	if err != nil {
-		code := serve.CodeBadRequest
-		switch {
-		case errors.Is(err, serve.ErrPredictorConflict):
-			code = serve.CodePredictorConflict
-		case errors.Is(err, serve.ErrUnknownPredictor):
-			code = serve.CodeUnknownPredictor
+	resp, aerr := h.s.Predict(ctx, serve.Batch{
+		Session:   string(p.Session),
+		Predictor: string(p.Predictor),
+		Num:       p.BatchNum,
+		Branches:  p.Branches,
+	}, preds)
+	if aerr != nil {
+		var retryable bool
+		var after time.Duration
+		switch aerr.Code {
+		case serve.CodeDraining, serve.CodeOverloaded:
+			retryable, after = true, h.retryAfter
+		case serve.CodeOutOfOrder:
+			retryable = true
 		}
-		wc.respondNack(j, code, err.Error(), false, 0)
-		return
+		return AppendNack(dst, seq, aerr.Code, aerr.Message, retryable, uint64(after.Milliseconds()))
 	}
-	defer s.backend.ReleaseSessionRef(sess)
-
-	depth := s.backend.PoolDepth()
-	if aerr := s.backend.AcquireSlot(wc.ctx); aerr != nil {
-		if errors.Is(aerr, serve.ErrOverloaded) {
-			wc.respondNack(j, serve.CodeOverloaded,
-				fmt.Sprintf("no worker slot; batch shed, retry safe (%d executing)", depth),
-				true, s.backend.RetryAfter())
-			return
-		}
-		// Connection died while queueing: nothing to answer.
-		wc.free <- j
-		return
+	var flags byte
+	branches := p.Branches
+	switch {
+	case resp.Duplicate:
+		// Nothing re-executed: the reply carries current statistics and
+		// no per-branch outcomes.
+		flags, branches = FlagDuplicate, nil
+	case resp.Restored:
+		flags = FlagCreated | FlagRestored
+	case resp.Created:
+		flags = FlagCreated
 	}
-	if cap(j.preds) < len(j.branches) {
-		j.preds = make([]core.Prediction, len(j.branches))
-	}
-	preds := j.preds[:len(j.branches)]
-	status, snap := s.backend.ExecuteWireBatch(sess, j.batchNum, j.branches, preds, depth)
-	s.backend.ReleaseSlot()
-	s.backend.ReclaimStore(sess)
-
-	switch status {
-	case serve.WireOutOfOrder:
-		wc.respondNack(j, CodeOutOfOrder,
-			fmt.Sprintf("batch %d skips ahead of the session's applied cursor; replay the gap first", j.batchNum),
-			true, 0)
-		return
-	case serve.WireDuplicate:
-		j.out = AppendPredictOK(j.out[:0], j.seq, FlagDuplicate, sess.PredictorName, nil, nil, statsOf(snap))
-	default:
-		var flags byte
-		if created {
-			flags |= FlagCreated
-		}
-		if restored {
-			flags |= FlagRestored
-		}
-		j.out = AppendPredictOK(j.out[:0], j.seq, flags, sess.PredictorName, j.branches, preds, statsOf(snap))
-	}
-	s.m.FrameLatency.ObserveDuration(time.Since(j.start))
-	wc.send(j)
+	return AppendPredictOK(dst, seq, flags, resp.Predictor, branches, preds, statsOf(resp.Stats))
 }
 
-func (wc *wireConn) execClose(j *job) {
-	fin, ok := wc.s.backend.CloseSession(string(j.session))
+func (h backendHandler) Close(_ context.Context, dst []byte, seq uint64, session string) []byte {
+	fin, ok := h.s.CloseSession(session)
 	if !ok {
-		wc.respondNack(j, serve.CodeSessionNotFound, "no such session", false, 0)
-		return
+		return AppendNack(dst, seq, serve.CodeSessionNotFound, "no such session", false, 0)
 	}
-	j.out = AppendCloseOK(j.out[:0], j.seq, fin.Predictor, WireStats{
-		Instructions:  fin.Stats.Instructions,
-		CondBranches:  fin.Stats.CondBranches,
-		Mispredicts:   fin.Stats.Mispredicts,
-		UncondCount:   fin.Stats.UncondCount,
-		SecondLevelOK: fin.Stats.SecondLevelOK,
-		Batches:       fin.Stats.Batches,
-	})
-	wc.send(j)
+	return AppendCloseOK(dst, seq, fin.Predictor, statsOf(fin.Stats))
 }
 
 // statsOf converts a serve snapshot to the wire's counter block.
@@ -486,44 +558,5 @@ func statsOf(s serve.SessionStats) WireStats {
 		UncondCount:   s.UncondCount,
 		SecondLevelOK: s.SecondLevelOK,
 		Batches:       s.Batches,
-	}
-}
-
-// writer serializes encoded frames onto the connection, flushing when
-// the queue momentarily empties (response coalescing under pipelining),
-// and recycles jobs back to the free list.
-func (wc *wireConn) writer() {
-	bw := bufio.NewWriterSize(wc.c, 256<<10)
-	dead := false
-	for j := range wc.writeq {
-		if !dead {
-			// The write fault site models the response path dying after
-			// execution: the lost-ack case the sequencing contract
-			// (duplicate detection on resend) exists to absorb.
-			if wc.s.backend.FireFault(FaultWrite) != nil {
-				wc.die()
-				dead = true
-			} else {
-				if _, err := bw.Write(j.out); err != nil {
-					wc.die()
-					dead = true
-				} else {
-					wc.s.m.FramesTx.Inc()
-					wc.s.m.BytesTx.Add(uint64(len(j.out)))
-					if j.nack {
-						wc.s.m.Nacks.Inc()
-					}
-					if len(wc.writeq) == 0 {
-						if err := bw.Flush(); err != nil {
-							wc.die()
-							dead = true
-						}
-					}
-				}
-			}
-		}
-		// Recycle regardless: the free list's capacity equals the job
-		// population, so this never blocks.
-		wc.free <- j
 	}
 }

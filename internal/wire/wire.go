@@ -85,15 +85,6 @@ const (
 	FrameNack = 0xEE
 )
 
-// Wire NACK codes beyond the serving stack's HTTP-shared set
-// (serve.CodeOverloaded, serve.CodeDraining, ... travel verbatim).
-const (
-	// CodeOutOfOrder: the batch number skips ahead of the session's
-	// applied cursor; the client must replay the gap first. Retryable by
-	// construction — resending in order resolves it.
-	CodeOutOfOrder = "out_of_order"
-)
-
 // Fault-injection site names the wire listener fires (internal/faults),
 // armed through the same injector as the serve.Fault* sites.
 const (

@@ -404,7 +404,7 @@ func TestWireSequencingContract(t *testing.T) {
 	// Skipping ahead must NACK out_of_order (retryable).
 	err := c.Predict(ctx, "seq", "tsl-8k", 3, batch, &ok)
 	var ne *NackError
-	if !errors.As(err, &ne) || ne.Code != CodeOutOfOrder || !ne.Retryable {
+	if !errors.As(err, &ne) || ne.Code != serve.CodeOutOfOrder || !ne.Retryable {
 		t.Fatalf("gap err = %v", err)
 	}
 

@@ -2,9 +2,12 @@ package wire
 
 import (
 	"bytes"
+	"context"
+	"runtime"
 	"testing"
 
 	"llbpx/internal/core"
+	"llbpx/internal/serve"
 )
 
 // TestWireCodecZeroAlloc is the binary protocol's differential allocation
@@ -93,5 +96,40 @@ func TestWireCodecZeroAlloc(t *testing.T) {
 	}
 	if ok.N != len(batch) || ok.Stats != st {
 		t.Fatalf("warm response decode diverged: %+v", ok)
+	}
+}
+
+// TestWireConnHeapFlat: a closed-loop client keeps one frame in flight,
+// so its connection should keep one job's buffers grown, not Window of
+// them. Over one connection, the live heap after 200 sequential
+// 1024-branch batches may grow at most 0.5 MB past the heap after 2
+// (Window jobs grown to this batch size would hold ~3.5 MB).
+func TestWireConnHeapFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation")
+	}
+	_, _, c := testWireServer(t, serve.Config{}, Config{})
+	batch := workloadBranches(t, "kafka", 40_000)[:1024]
+	ctx := context.Background()
+	var ok PredictOK
+	liveHeap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	var warm uint64
+	for num := uint64(1); num <= 200; num++ {
+		if err := c.Predict(ctx, "heap", "tsl-8k", num, batch, &ok); err != nil {
+			t.Fatalf("batch %d: %v", num, err)
+		}
+		if num == 2 {
+			warm = liveHeap()
+		}
+	}
+	grown := int64(liveHeap()) - int64(warm)
+	t.Logf("live heap %+d KB after the first 2 batches", grown>>10)
+	if grown > 512<<10 {
+		t.Fatalf("live heap grew %.2f MB over 198 sequential batches on one connection", float64(grown)/(1<<20))
 	}
 }
